@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race race-farm bench bench-json bench-fleet-json bench-detect-json bench-smoke obs-smoke fleet-smoke explore-smoke exploreeff build table1 table2 figures everything cover fmt vet lint
+.PHONY: all test race race-farm bench bench-smoke obs-smoke fleet-smoke explore-smoke exploreeff build table1 table2 figures everything cover fmt vet lint
 
 all: test lint
 
@@ -29,16 +29,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One-iteration pass over every benchmark: proves the benchmark code still
-# compiles and runs. This is the CI smoke step — it measures nothing.
-# The detector lines are the A/B smoke for bench-detect-json: the epoch
-# fast-path pin (TestDetectionRunFastPaths) proves the default detector
-# takes its O(1) same-epoch short-circuits on a real run, and the
-# ICHECK_RACE_DETECTOR=vc pass proves the vector-clock baseline section
-# still runs end to end.
+# compiles and runs. This is the CI smoke step — it measures nothing. The
+# epoch fast-path pin (TestDetectionRunFastPaths) proves the detector
+# takes its O(1) same-epoch short-circuits on a real run.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run='TestDetectionRunFastPaths' .
-	ICHECK_RACE_DETECTOR=vc $(GO) test -run=NONE -bench='DetectorRun/(barnes|fft)/' -benchtime=1x .
 
 # Observability smoke gate: boot a real checkd, run one small campaign,
 # scrape /metrics from the live daemon and fail on malformed exposition or
@@ -65,85 +61,6 @@ explore-smoke:
 # EXPERIMENTS.md, "Exploration efficiency").
 exploreeff:
 	$(GO) run ./cmd/instantcheck exploreeff -small -runs 40 -threads 4 -input 1
-
-# The tier-1 perf suite, recorded into the repo's benchmark trajectory as an
-# interleaved A/B over the per-thread store buffer: each round runs the
-# whole suite once with ICHECK_STORE_BUFFER=off (the pre-buffer inline
-# per-store hashing — "baseline") and once with the default buffered mode
-# ("after"), so both sections sample the same machine conditions round by
-# round. Odd rounds run baseline first, even rounds run after first: with
-# an even round count a linear machine-speed drift contributes equally to
-# both sections instead of systematically penalizing whichever one runs
-# second. Everything else, the traversal delta cache included, stays at its
-# default in both sections, so the buffer is the only knob that varies.
-# benchjson averages a section's repeated rounds; BENCHTIME stays small
-# because the rounds are the averaging. (BENCH_5 recorded the same suite's
-# delta-cache A/B over ICHECK_TRAVERSE_DELTA; BENCH_7 is this one.)
-BENCH_OUT    ?= BENCH_7.json
-BENCHTIME    ?= 2x
-BENCH_ROUNDS ?= 4
-BENCH_REGEX  ?= SchemeAblation|CheckApp|FarmThroughput$$|MemStoreLoad|AllocFree|TraverseHash|ZeroSumCache|WriteBatch|WriteScattered|HashWord|AccumulatorWrite
-BENCH_PKGS   = . ./internal/mem ./internal/sim ./internal/ihash
-bench-json:
-	@rm -f $(BENCH_OUT).base.tmp $(BENCH_OUT).after.tmp
-	for r in $$(seq $(BENCH_ROUNDS)); do \
-		if [ $$((r % 2)) -eq 1 ]; then \
-			ICHECK_STORE_BUFFER=off $(GO) test -run=NONE -bench='$(BENCH_REGEX)' -benchmem -benchtime=$(BENCHTIME) $(BENCH_PKGS) >> $(BENCH_OUT).base.tmp || exit 1; \
-			$(GO) test -run=NONE -bench='$(BENCH_REGEX)' -benchmem -benchtime=$(BENCHTIME) $(BENCH_PKGS) >> $(BENCH_OUT).after.tmp || exit 1; \
-		else \
-			$(GO) test -run=NONE -bench='$(BENCH_REGEX)' -benchmem -benchtime=$(BENCHTIME) $(BENCH_PKGS) >> $(BENCH_OUT).after.tmp || exit 1; \
-			ICHECK_STORE_BUFFER=off $(GO) test -run=NONE -bench='$(BENCH_REGEX)' -benchmem -benchtime=$(BENCHTIME) $(BENCH_PKGS) >> $(BENCH_OUT).base.tmp || exit 1; \
-		fi; \
-	done
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section baseline -note "make bench-json, store buffer off, benchtime=$(BENCHTIME), order-alternating rounds=$(BENCH_ROUNDS)" < $(BENCH_OUT).base.tmp
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section after -note "make bench-json, store buffer auto, benchtime=$(BENCHTIME), order-alternating rounds=$(BENCH_ROUNDS)" < $(BENCH_OUT).after.tmp
-	@rm -f $(BENCH_OUT).base.tmp $(BENCH_OUT).after.tmp
-
-# The detection-run A/B, recorded as the repo's BENCH_8 trajectory: every
-# workload's happens-before detection run (BenchmarkDetectorRun, 4 threads,
-# small inputs, fresh detector + machine per iteration) under the default
-# epoch detector ("after") against the identical run with the retained
-# vector-clock reference selected via ICHECK_RACE_DETECTOR=vc ("baseline").
-# The benchmark names are identical in both sections, so benchjson pairs
-# them directly; detector=off sub-benchmarks ride along in both sections as
-# the plain-check-run control — the env var is only read when a detector is
-# attached, so any baseline/after delta there bounds the measurement noise.
-# Rounds alternate section order for the same drift-cancelling reason as
-# bench-json above.
-DETECT_BENCH_OUT    ?= BENCH_8.json
-DETECT_BENCHTIME    ?= 10x
-DETECT_BENCH_ROUNDS ?= 4
-bench-detect-json:
-	@rm -f $(DETECT_BENCH_OUT).base.tmp $(DETECT_BENCH_OUT).after.tmp
-	for r in $$(seq $(DETECT_BENCH_ROUNDS)); do \
-		if [ $$((r % 2)) -eq 1 ]; then \
-			ICHECK_RACE_DETECTOR=vc $(GO) test -run=NONE -bench='DetectorRun' -benchtime=$(DETECT_BENCHTIME) . >> $(DETECT_BENCH_OUT).base.tmp || exit 1; \
-			$(GO) test -run=NONE -bench='DetectorRun' -benchtime=$(DETECT_BENCHTIME) . >> $(DETECT_BENCH_OUT).after.tmp || exit 1; \
-		else \
-			$(GO) test -run=NONE -bench='DetectorRun' -benchtime=$(DETECT_BENCHTIME) . >> $(DETECT_BENCH_OUT).after.tmp || exit 1; \
-			ICHECK_RACE_DETECTOR=vc $(GO) test -run=NONE -bench='DetectorRun' -benchtime=$(DETECT_BENCHTIME) . >> $(DETECT_BENCH_OUT).base.tmp || exit 1; \
-		fi; \
-	done
-	$(GO) run ./cmd/benchjson -out $(DETECT_BENCH_OUT) -section baseline -note "make bench-detect-json, ICHECK_RACE_DETECTOR=vc (vector-clock reference), benchtime=$(DETECT_BENCHTIME), order-alternating rounds=$(DETECT_BENCH_ROUNDS)" < $(DETECT_BENCH_OUT).base.tmp
-	$(GO) run ./cmd/benchjson -out $(DETECT_BENCH_OUT) -section after -note "make bench-detect-json, epoch detector (default), benchtime=$(DETECT_BENCHTIME), order-alternating rounds=$(DETECT_BENCH_ROUNDS)" < $(DETECT_BENCH_OUT).after.tmp
-	@rm -f $(DETECT_BENCH_OUT).base.tmp $(DETECT_BENCH_OUT).after.tmp
-
-# The fleet scaling benchmark, recorded as the repo's BENCH_6 trajectory:
-# the farm-throughput campaign's replay stage dispatched through a real
-# coordinator + worker fleet over HTTP, at 1/2/4 workers, in both the
-# natural-speed and the emulated-remote-latency variant (see
-# BenchmarkFarmThroughputFleet for why both exist). benchjson averages the
-# repeated rounds.
-FLEET_BENCH_OUT    ?= BENCH_6.json
-FLEET_BENCHTIME    ?= 2x
-FLEET_BENCH_ROUNDS ?= 3
-bench-fleet-json:
-	@rm -f $(FLEET_BENCH_OUT).tmp
-	for r in $$(seq $(FLEET_BENCH_ROUNDS)); do \
-		$(GO) test -run=NONE -bench='FarmThroughputFleet' -benchmem -benchtime=$(FLEET_BENCHTIME) . >> $(FLEET_BENCH_OUT).tmp || exit 1; \
-	done
-	$(GO) run ./cmd/benchjson -out $(FLEET_BENCH_OUT) -section fleet -note "make bench-fleet-json, benchtime=$(FLEET_BENCHTIME), rounds=$(FLEET_BENCH_ROUNDS); fleet-remote-workers emulates 10ms/run remote executors" < $(FLEET_BENCH_OUT).tmp
-	@rm -f $(FLEET_BENCH_OUT).tmp
 
 table1:
 	$(GO) run ./cmd/instantcheck table1

@@ -2,7 +2,6 @@ package instantcheck
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"instantcheck/internal/racefilter"
@@ -146,15 +145,8 @@ func BenchmarkCheckApp(b *testing.B) {
 
 // BenchmarkCheckAppTr measures one full checking campaign (30 runs) per
 // workload under SW-InstantCheck_Tr, the scheme whose checkpoint sweeps
-// dirty-page delta hashing accelerates. Setting ICHECK_TRAVERSE_DELTA=off
-// pins every checkpoint to the pre-delta full sweep; because the benchmark
-// names stay identical, the two settings feed benchjson's interleaved-A/B
-// sections directly (see make bench-json).
+// dirty-page delta hashing accelerates.
 func BenchmarkCheckAppTr(b *testing.B) {
-	mode := TraverseDeltaAuto
-	if os.Getenv("ICHECK_TRAVERSE_DELTA") == "off" {
-		mode = TraverseDeltaOff
-	}
 	for _, app := range Workloads() {
 		app := app
 		b.Run(app.Name, func(b *testing.B) {
@@ -162,7 +154,6 @@ func BenchmarkCheckAppTr(b *testing.B) {
 				camp := Campaign{
 					Runs: 30, Threads: 8, Scheme: SWTr,
 					RoundFP: app.UsesFP, Ignore: app.IgnoreSet(),
-					TraverseDelta: mode,
 				}
 				if _, err := Check(camp, app.Builder(WorkloadOptions{})); err != nil {
 					b.Fatal(err)
@@ -174,17 +165,10 @@ func BenchmarkCheckAppTr(b *testing.B) {
 
 // BenchmarkCheckAppSWInc measures one full checking campaign (30 runs) per
 // workload under SW-InstantCheck_Inc, the scheme whose per-store software
-// hashing the per-thread store buffer batches. Setting
-// ICHECK_STORE_BUFFER=off pins every store to the pre-buffer inline path;
-// the benchmark names stay identical, so the two settings feed benchjson's
-// interleaved-A/B sections directly (see make bench-json). Buffered runs
-// assert the batch path was actually exercised — the bench-smoke gate
-// against silently benchmarking the inline path twice.
+// hashing the per-thread store buffer batches. It asserts the batch path
+// was actually exercised, so the bench-smoke gate fails on a silent
+// regression to inline per-store hashing.
 func BenchmarkCheckAppSWInc(b *testing.B) {
-	words := 0 // auto
-	if os.Getenv("ICHECK_STORE_BUFFER") == "off" {
-		words = -1
-	}
 	for _, app := range Workloads() {
 		app := app
 		b.Run(app.Name, func(b *testing.B) {
@@ -192,7 +176,6 @@ func BenchmarkCheckAppSWInc(b *testing.B) {
 				camp := Campaign{
 					Runs: 30, Threads: 8, Scheme: SWInc,
 					RoundFP: app.UsesFP, Ignore: app.IgnoreSet(),
-					StoreBufferWords: words,
 				}
 				rep, err := Check(camp, app.Builder(WorkloadOptions{}))
 				if err != nil {
@@ -202,11 +185,8 @@ func BenchmarkCheckAppSWInc(b *testing.B) {
 				for _, r := range rep.Runs {
 					flushes += r.MHMStats.BufferFlushes
 				}
-				if words == 0 && flushes == 0 {
-					b.Fatal("buffered campaign never drained a store buffer")
-				}
-				if words < 0 && flushes != 0 {
-					b.Fatal("inline campaign drained a store buffer")
+				if flushes == 0 {
+					b.Fatal("campaign never drained a store buffer")
 				}
 			}
 		})
@@ -214,17 +194,12 @@ func BenchmarkCheckAppSWInc(b *testing.B) {
 }
 
 // BenchmarkDetectorRun measures one happens-before detection run per
-// workload — a fresh detector and machine per iteration, the cross-check's
-// configuration (4 threads, small inputs) — against the identical run with
-// no listener attached (detector=off, the plain-check-run control).
-// Setting ICHECK_RACE_DETECTOR=vc swaps in the vector-clock reference
-// while the benchmark names stay identical, so the two settings feed
-// benchjson's interleaved-A/B sections directly (see make
-// bench-detect-json). Default runs assert the epoch detector actually
-// observed the run's accesses — the gate against silently benchmarking
-// the reference twice.
+// workload — a fresh epoch detector and machine per iteration, the
+// cross-check's configuration (4 threads, small inputs) — against the
+// identical run with no listener attached (detector=off, the
+// plain-check-run control). Detector runs assert the detector actually
+// observed the run's accesses.
 func BenchmarkDetectorRun(b *testing.B) {
-	useVC := os.Getenv(racefilter.EnvDetector) == "vc"
 	for _, app := range Workloads() {
 		app := app
 		build := app.Builder(WorkloadOptions{Threads: 4, Small: true})
@@ -238,9 +213,9 @@ func BenchmarkDetectorRun(b *testing.B) {
 						Threads: 4, ScheduleSeed: int64(i + 1),
 						Scheme: sim.HWInc, Env: env, AddrLog: addrLog,
 					}
-					var det racefilter.HB
+					var det *racefilter.Detector
 					if mode == "on" {
-						det = racefilter.Selected(4)
+						det = racefilter.NewDetector(4)
 						cfg.Events = det
 					}
 					m := sim.NewMachine(cfg)
@@ -250,20 +225,14 @@ func BenchmarkDetectorRun(b *testing.B) {
 					if det == nil {
 						continue
 					}
-					eps, isEpoch := det.(*racefilter.Detector)
-					if !useVC && !isEpoch {
-						b.Fatal("default detector is not the epoch implementation")
-					}
-					if isEpoch {
-						// Nonzero access counts prove the epoch shadow pages saw
-						// this run's events. Fast-path hits are app-dependent
-						// (barrier-phased apps can touch every word exactly once
-						// per epoch), so bench-smoke pins ReadFast on a workload
-						// with same-epoch repeats rather than asserting it here.
-						st := eps.Stats()
-						if st.ReadFast+st.ReadSlow+st.WriteFast+st.WriteSlow == 0 {
-							b.Fatal("epoch detector saw no accesses")
-						}
+					// Nonzero access counts prove the epoch shadow pages saw
+					// this run's events. Fast-path hits are app-dependent
+					// (barrier-phased apps can touch every word exactly once
+					// per epoch), so bench-smoke pins ReadFast on a workload
+					// with same-epoch repeats rather than asserting it here.
+					st := det.Stats()
+					if st.ReadFast+st.ReadSlow+st.WriteFast+st.WriteSlow == 0 {
+						b.Fatal("epoch detector saw no accesses")
 					}
 				}
 			})

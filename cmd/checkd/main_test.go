@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"instantcheck/internal/farm"
 )
 
 // TestSlowClientTimedOut is the slow-client regression test: the daemon's
@@ -77,5 +82,66 @@ func TestPprofOptIn(t *testing.T) {
 		if gotOK := resp.StatusCode == http.StatusOK; gotOK != wantOK {
 			t.Errorf("pprof=%v: /debug/pprof/cmdline -> HTTP %d", on, resp.StatusCode)
 		}
+	}
+}
+
+// TestOutOfRangeSpecsRejected: job specs whose sizes once crashed the job
+// worker — and, persisted before they ran, every restart after it — get
+// HTTP 400 at submit, and the daemon keeps serving: a valid job submitted
+// afterwards runs to completion.
+func TestOutOfRangeSpecsRejected(t *testing.T) {
+	store, err := farm.OpenStore(filepath.Join(t.TempDir(), "farm.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := farm.NewServer(store, farm.Options{RunWorkers: 2})
+	srv.Resume()
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.Start(ctx)
+	hs := newHTTPServer("", srv.Handler(), nil, nil, time.Second, 10*time.Second, time.Second, false)
+	ts := httptest.NewServer(hs.Handler)
+	defer func() {
+		ts.Close()
+		cancel()
+		srv.Wait()
+		store.Close()
+	}()
+
+	for _, body := range []string{
+		`{"app":"waterSP","kind":"explore","strategy":"pct","pct_depth":1152921504606846976}`,
+		`{"app":"waterSP","kind":"explore","strategy":"pct","pct_depth":-1}`,
+		`{"app":"fft","runs":1125899906842624}`,
+		`{"app":"fft","threads":1099511627776}`,
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+
+	c := farm.NewClient(ts.URL)
+	job, err := c.Submit(ctx, farm.JobSpec{App: "fft", Runs: 2, Threads: 2, Small: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, stop := context.WithTimeout(ctx, time.Minute)
+	defer stop()
+	done, err := c.Wait(waitCtx, job.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != farm.JobDone {
+		t.Errorf("valid job after the rejections: %s %s", done.State, done.Error)
+	}
+	jobs, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 {
+		t.Errorf("%d jobs stored, want only the valid one", len(jobs))
 	}
 }

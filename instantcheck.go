@@ -68,9 +68,6 @@ type (
 	IgnoreSet = sim.IgnoreSet
 	// IgnoreRule selects the words of one allocation site.
 	IgnoreRule = sim.IgnoreRule
-	// TraverseDeltaMode selects the traversal scheme's checkpoint
-	// strategy (dirty-page delta hashing vs full sweeps).
-	TraverseDeltaMode = sim.TraverseDeltaMode
 	// Kind is a word's element kind (integer word or float64).
 	Kind = mem.Kind
 	// Snapshot is a full copy of the hashed state.
@@ -112,15 +109,6 @@ const (
 	SWIncNonAtomic = sim.SWIncNonAtomic
 	// SWTr is SW-InstantCheck_Tr: traversal hashing at checkpoints.
 	SWTr = sim.SWTr
-)
-
-// Traversal checkpoint strategies (SWTr only).
-const (
-	// TraverseDeltaAuto (the default) rehashes only dirty pages after the
-	// first full sweep.
-	TraverseDeltaAuto = sim.TraverseDeltaAuto
-	// TraverseDeltaOff forces a full sweep at every checkpoint.
-	TraverseDeltaOff = sim.TraverseDeltaOff
 )
 
 // Word kinds.

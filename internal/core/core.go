@@ -59,15 +59,6 @@ type Campaign struct {
 	// full state capture at the first differing checkpoint, for the
 	// state-diff debugging tool (§2.3). It costs two extra runs.
 	SnapshotDifferingRuns bool
-	// TraverseDelta selects the traversal scheme's checkpoint strategy
-	// for every run (dirty-page delta hashing by default; see
-	// sim.TraverseDeltaMode). Ignored by the incremental schemes.
-	TraverseDelta sim.TraverseDeltaMode
-	// StoreBufferWords sizes the incremental schemes' per-thread store
-	// buffer for every run (0 selects the auto default, negative disables;
-	// see sim.Config.StoreBufferWords). Ignored by the traversal scheme
-	// and by SWIncNonAtomic.
-	StoreBufferWords int
 	// Parallelism is the number of runs executed concurrently. The runs of
 	// a campaign are independent given the recording run's replay logs
 	// (§5), so the recording run executes first and alone, then up to
@@ -325,19 +316,17 @@ func (c Campaign) checkParallel(build Builder) (*Report, error) {
 func (c Campaign) runOnce(build Builder, addrLog *replay.AddrLog, env *replay.Env, run int, snapshotAt map[int]bool) (*sim.Result, string, error) {
 	prog := build()
 	m := sim.NewMachine(sim.Config{
-		Threads:          c.Threads,
-		ScheduleSeed:     c.BaseScheduleSeed + int64(run),
-		SwitchInterval:   c.SwitchInterval,
-		Scheme:           c.Scheme,
-		Hasher:           c.Hasher,
-		Rounding:         c.Rounding,
-		RoundFP:          c.RoundFP,
-		AddrLog:          addrLog,
-		Env:              env,
-		Ignore:           c.Ignore,
-		SnapshotAt:       snapshotAt,
-		TraverseDelta:    c.TraverseDelta,
-		StoreBufferWords: c.StoreBufferWords,
+		Threads:        c.Threads,
+		ScheduleSeed:   c.BaseScheduleSeed + int64(run),
+		SwitchInterval: c.SwitchInterval,
+		Scheme:         c.Scheme,
+		Hasher:         c.Hasher,
+		Rounding:       c.Rounding,
+		RoundFP:        c.RoundFP,
+		AddrLog:        addrLog,
+		Env:            env,
+		Ignore:         c.Ignore,
+		SnapshotAt:     snapshotAt,
 	})
 	res, err := m.Run(prog)
 	return res, prog.Name(), err

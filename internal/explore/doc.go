@@ -43,11 +43,11 @@
 //     available to aim at.
 //   - race-directed: spends the first runs under the happens-before race
 //     detector (racefilter), then preempts threads exactly at the racy
-//     sites it found (FindNondeterminism's directed mode behind the
-//     Strategy interface). The strongest searcher for atomicity and
-//     order-violation windows — the Figure 7 bugs are all found within a
-//     handful of runs — at the cost of the detection-run overhead and of
-//     finding nothing extra when the program has no races.
+//     sites it found; RaceDirected can also take the static `icvet race`
+//     report's site pairs as hints up front. The strongest searcher for
+//     atomicity and order-violation windows — the Figure 7 bugs are all
+//     found within a handful of runs — at the cost of the detection-run
+//     overhead and of finding nothing extra when the program has no races.
 //   - coverage: coverage-guided schedule fuzzing. Every run's decision
 //     stream is recorded; a run that produces a never-seen (checkpoint
 //     ordinal, State Hash) outcome keeps its decision prefix in a

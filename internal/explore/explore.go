@@ -18,7 +18,8 @@ type Options struct {
 	// explores only blocking-point nondeterminism (non-preemptive
 	// schedules).
 	PreemptEvery int
-	// MaxRuns bounds the number of schedules executed (0 = 100000).
+	// MaxRuns bounds the number of schedules executed (0 selects
+	// DefaultMaxRuns).
 	MaxRuns int
 	// MaxDecisions bounds the branching depth considered per run: free
 	// decisions beyond it are not branched on (0 = unlimited). This is
@@ -33,9 +34,9 @@ type Options struct {
 	// InputSeed fixes the program's replayed input.
 	InputSeed int64
 	// SwitchInterval is the mean operation count between random forced
-	// preemptions for FindNondeterminism and strategy runs (<= 0 selects
-	// the scheduler default). Systematic ignores it: its decider controls
-	// switching through PreemptEvery.
+	// preemptions for strategy runs (<= 0 selects the scheduler default).
+	// Systematic ignores it: its decider controls switching through
+	// PreemptEvery.
 	SwitchInterval int
 	// ScheduleSeed is the base schedule seed: run i of a random-schedule
 	// search uses ScheduleSeed + i + 1, so repeated campaigns with
@@ -148,6 +149,10 @@ type stateKey struct {
 	sh      ihash.Digest
 }
 
+// DefaultMaxRuns is Systematic's run bound when Options.MaxRuns is 0, and
+// the largest run count the checkfarm accepts for a job.
+const DefaultMaxRuns = 100000
+
 // Systematic enumerates the program's bounded schedule tree and returns
 // coverage statistics. With Prune set, subtrees rooted at already-visited
 // quiescent states are cut.
@@ -157,7 +162,7 @@ func Systematic(build func() sim.Program, o Options) (*Result, error) {
 	}
 	maxRuns := o.MaxRuns
 	if maxRuns == 0 {
-		maxRuns = 100000
+		maxRuns = DefaultMaxRuns
 	}
 	scheme := o.Scheme
 	if scheme == sim.Native {

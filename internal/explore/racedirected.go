@@ -14,8 +14,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"instantcheck/internal/ihash"
-	"instantcheck/internal/replay"
 	"instantcheck/internal/sched"
 	"instantcheck/internal/sim"
 )
@@ -98,79 +96,3 @@ func (d *raceDirector) OnWrite(t *sim.Thread, addr uint64) { d.maybePreempt(t) }
 func (d *raceDirector) OnAcquire(int, *sched.Mutex)        {}
 func (d *raceDirector) OnRelease(int, *sched.Mutex)        {}
 func (d *raceDirector) OnBarrier(int)                      {}
-
-// DirectedResult summarizes a FindNondeterminism search.
-type DirectedResult struct {
-	// Runs is the number of schedules executed.
-	Runs int
-	// Found is true when two schedules produced different final hashes.
-	Found bool
-	// Hits counts directed preemptions across all runs (0 for uniform
-	// search).
-	Hits int
-}
-
-// FindNondeterminism runs up to maxRuns randomly scheduled executions
-// and stops as soon as two runs disagree on the final State Hash — the
-// InstantCheck nondeterminism verdict. With hints, every access at a
-// hinted site forces a scheduling decision (race-directed search); with
-// none, the schedules are uniform random, the baseline it is measured
-// against.
-func FindNondeterminism(build func() sim.Program, o Options, hints []RaceHint, maxRuns int) (*DirectedResult, error) {
-	if o.Threads <= 0 {
-		return nil, fmt.Errorf("explore: Threads must be positive")
-	}
-	scheme := o.Scheme
-	if scheme == sim.Native {
-		scheme = sim.HWInc
-	}
-	env := replay.NewEnv(o.InputSeed)
-	addrLog := replay.NewAddrLog()
-	sites := hintSites(hints)
-
-	res := &DirectedResult{}
-	var first ihash.Digest
-	for run := 0; run < maxRuns; run++ {
-		cfg := sim.Config{
-			Threads: o.Threads,
-			// Offset from the caller's base seed so repeated campaigns
-			// can explore fresh schedule sequences; the zero base
-			// reproduces the historical seeds 1, 2, 3, ...
-			ScheduleSeed:   o.ScheduleSeed + int64(run) + 1,
-			SwitchInterval: o.SwitchInterval,
-			Scheme:         scheme,
-			Hasher:         o.Hasher,
-			RoundFP:        o.RoundFP,
-			Ignore:         o.Ignore,
-			Env:            env,
-			AddrLog:        addrLog,
-		}
-		var d *raceDirector
-		if len(hints) > 0 {
-			d = &raceDirector{sites: sites, pcs: make(map[uintptr]bool)}
-			cfg.Events = d
-		}
-		m := sim.NewMachine(cfg)
-		if d != nil {
-			d.m = m
-		}
-		r, err := m.Run(build())
-		res.Runs = run + 1
-		if d != nil {
-			res.Hits += d.hits
-		}
-		if err != nil {
-			return nil, fmt.Errorf("explore: directed run %d: %w", run+1, err)
-		}
-		h := r.FinalSH()
-		if run == 0 {
-			first = h
-			continue
-		}
-		if h != first {
-			res.Found = true
-			return res, nil
-		}
-	}
-	return res, nil
-}

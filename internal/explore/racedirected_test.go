@@ -38,8 +38,8 @@ func waterPotHints(t *testing.T) []RaceHint {
 // under FP rounding unless a preemption lands inside thread 3's unlocked
 // read-modify-write of the global energy. Directed search — forcing a
 // scheduling decision at each statically-implicated site — must surface
-// the differing final State Hash in strictly fewer runs than uniform
-// random search over the same seeds.
+// a differing State Hash in strictly fewer runs than uniform random search
+// over the same seeds.
 func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 	hints := waterPotHints(t)
 	build := func() sim.Program {
@@ -53,7 +53,7 @@ func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 	o := Options{Threads: 4, RoundFP: true, InputSeed: 1, SwitchInterval: 4000}
 	const maxRuns = 60
 
-	directed, err := FindNondeterminism(build, o, hints, maxRuns)
+	directed, err := Explore(build, o, RaceDirected(o.Threads, o.ScheduleSeed, hints), maxRuns, nil)
 	if err != nil {
 		t.Fatalf("directed search: %v", err)
 	}
@@ -64,16 +64,16 @@ func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 		t.Error("directed search fired no preemption hints: site matching is broken")
 	}
 
-	uniform, err := FindNondeterminism(build, o, nil, maxRuns)
+	uniform, err := Explore(build, o, Uniform(o.ScheduleSeed), maxRuns, nil)
 	if err != nil {
 		t.Fatalf("uniform search: %v", err)
 	}
-	if uniform.Found && uniform.Runs <= directed.Runs {
+	if uniform.Found && uniform.DivergedRun <= directed.DivergedRun {
 		t.Errorf("uniform search found the bug in %d runs, directed needed %d — hints are not helping",
-			uniform.Runs, directed.Runs)
+			uniform.DivergedRun, directed.DivergedRun)
 	}
 	t.Logf("directed: found in %d runs (%d hint preemptions); uniform: found=%v in %d runs",
-		directed.Runs, directed.Hits, uniform.Found, uniform.Runs)
+		directed.DivergedRun, directed.Hits, uniform.Found, uniform.Runs)
 }
 
 // TestRaceDirectedCleanProgram checks directed search reports no
@@ -85,7 +85,7 @@ func TestRaceDirectedCleanProgram(t *testing.T) {
 	build := func() sim.Program {
 		return apps.ByName("waterSP").Build(apps.Options{Threads: 4, Small: true})
 	}
-	res, err := FindNondeterminism(build, Options{Threads: 4, RoundFP: true, InputSeed: 1}, hints, 8)
+	res, err := Explore(build, Options{Threads: 4, RoundFP: true, InputSeed: 1}, RaceDirected(4, 0, hints), 8, nil)
 	if err != nil {
 		t.Fatalf("directed search: %v", err)
 	}

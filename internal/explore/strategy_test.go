@@ -121,39 +121,6 @@ func TestExploreFixedSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestFindNondeterminismSeedPlumbing pins the Options.ScheduleSeed fix:
-// FindNondeterminism at a fixed base is reproducible, and different bases
-// really change the schedule sequence.
-func TestFindNondeterminismSeedPlumbing(t *testing.T) {
-	o := Options{Threads: 2, SwitchInterval: 16, ScheduleSeed: 7}
-	a, err := FindNondeterminism(buildRareRace, o, nil, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FindNondeterminism(buildRareRace, o, nil, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Runs != b.Runs || a.Found != b.Found {
-		t.Errorf("same base seed, different results: %+v vs %+v", a, b)
-	}
-
-	runs := make(map[int]bool)
-	for base := int64(0); base < 8; base++ {
-		o := Options{Threads: 2, SwitchInterval: 16, ScheduleSeed: base}
-		res, err := FindNondeterminism(buildRareRace, o, nil, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Found {
-			runs[res.Runs] = true
-		}
-	}
-	if len(runs) < 2 {
-		t.Errorf("8 base seeds all detected at the same run %v — base seed is not plumbed through", runs)
-	}
-}
-
 // TestPCTStrategyCalibrates checks the two-phase PCT flow: run 0 is a
 // uniform calibration run whose scheduler-op count becomes the
 // change-point budget, and later runs carry PCT deciders.

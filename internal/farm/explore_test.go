@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"instantcheck/internal/explore"
+	"instantcheck/internal/racefilter"
 )
 
 // exploreSpec is the seeded Figure 7(b) hunt as a farm job: waterSP with
@@ -139,8 +142,8 @@ func TestExploreJobResume(t *testing.T) {
 	}
 }
 
-// TestExploreSpecValidation checks the submit-time guards on the new
-// fields.
+// TestExploreSpecValidation checks the submit-time guards on the explore
+// fields and on the sizes the job worker allocates from.
 func TestExploreSpecValidation(t *testing.T) {
 	bad := []JobSpec{
 		{App: "fft", Kind: "explode"},                        // unknown kind
@@ -150,6 +153,14 @@ func TestExploreSpecValidation(t *testing.T) {
 		{App: "fft", Bug: "atomicity"},                       // fft hosts no bug
 		{App: "waterSP", Kind: "explore", Bug: "order"},      // wrong bug kind
 		{App: "waterSP", Kind: "explore", Bug: "heisenbug"},  // unknown bug
+		// Out-of-range sizes the job worker would allocate from.
+		{App: "fft", Threads: racefilter.MaxThreads + 1},
+		{App: "fft", Threads: 1 << 40},
+		{App: "fft", Runs: explore.DefaultMaxRuns + 1},
+		{App: "fft", Runs: 1 << 50},
+		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: -1},
+		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: explore.MaxPCTDepth + 1},
+		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: 1 << 60},
 	}
 	for _, spec := range bad {
 		if _, _, err := spec.Resolve(); err == nil {
@@ -161,6 +172,8 @@ func TestExploreSpecValidation(t *testing.T) {
 		{App: "waterSP", Kind: "explore"},
 		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: 2},
 		{App: "waterSP", Bug: "atomicity"}, // seeded bug on a check job
+		{App: "fft", Threads: racefilter.MaxThreads, Runs: explore.DefaultMaxRuns},
+		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: explore.MaxPCTDepth},
 	}
 	for _, spec := range good {
 		if _, _, err := spec.Resolve(); err != nil {

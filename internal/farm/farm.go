@@ -34,6 +34,7 @@ import (
 	"instantcheck/internal/core"
 	"instantcheck/internal/explore"
 	"instantcheck/internal/ihash"
+	"instantcheck/internal/racefilter"
 	"instantcheck/internal/sim"
 )
 
@@ -47,9 +48,11 @@ type JobID string
 type JobSpec struct {
 	// App names the workload to check (one of the 17 evaluation kernels).
 	App string `json:"app"`
-	// Runs is the campaign's run count.
+	// Runs is the campaign's run count, at most explore.DefaultMaxRuns.
 	Runs int `json:"runs,omitempty"`
-	// Threads is the worker thread count per run.
+	// Threads is the worker thread count per run, at most
+	// racefilter.MaxThreads (the detector behind race-directed search
+	// packs a thread slot into one byte).
 	Threads int `json:"threads,omitempty"`
 	// Parallelism is the number of replay runs executed concurrently.
 	// Zero lets the daemon choose its configured default.
@@ -67,10 +70,6 @@ type JobSpec struct {
 	Hasher string `json:"hasher,omitempty"`
 	// RoundFP enables the FP round-off unit for the whole campaign.
 	RoundFP bool `json:"round_fp,omitempty"`
-	// StoreBufferWords sizes the per-thread store buffer of the
-	// incremental schemes: 0 picks the auto default, negative disables
-	// buffering (inline per-store hashing).
-	StoreBufferWords int `json:"store_buffer_words,omitempty"`
 	// Isolate applies the workload's small-structure ignore set (§2.2).
 	Isolate bool `json:"isolate,omitempty"`
 	// Small selects the reduced (unit-test scale) input.
@@ -84,7 +83,7 @@ type JobSpec struct {
 	// "uniform" (default), "pct", "race-directed" or "coverage".
 	Strategy string `json:"strategy,omitempty"`
 	// PCTDepth is the number of priority-change points for the pct
-	// strategy (0 selects the default).
+	// strategy: 0 selects the default, and at most explore.MaxPCTDepth.
 	PCTDepth int `json:"pct_depth,omitempty"`
 	// Bug seeds the workload's Figure 7 bug ("semantic", "atomicity" or
 	// "order"); the workload must host that bug kind. Valid for both job
@@ -132,6 +131,18 @@ func (s JobSpec) Resolve() (core.Campaign, core.Builder, error) {
 	default:
 		return core.Campaign{}, nil, fmt.Errorf("farm: unknown job kind %q (want check or explore)", s.Kind)
 	}
+	// Bound what the job worker would otherwise allocate from: Submit
+	// persists the spec before it runs, so a spec that crashes the worker
+	// would crash every restart too.
+	if s.Runs > explore.DefaultMaxRuns {
+		return core.Campaign{}, nil, fmt.Errorf("farm: runs = %d; want at most %d", s.Runs, explore.DefaultMaxRuns)
+	}
+	if s.Threads > racefilter.MaxThreads {
+		return core.Campaign{}, nil, fmt.Errorf("farm: threads = %d; want at most %d", s.Threads, racefilter.MaxThreads)
+	}
+	if s.PCTDepth < 0 || s.PCTDepth > explore.MaxPCTDepth {
+		return core.Campaign{}, nil, fmt.Errorf("farm: pct_depth = %d; want 0 to %d", s.PCTDepth, explore.MaxPCTDepth)
+	}
 	bug, ok := bugs[s.Bug]
 	if !ok {
 		return core.Campaign{}, nil, fmt.Errorf("farm: unknown bug %q (want semantic, atomicity or order)", s.Bug)
@@ -167,7 +178,6 @@ func (s JobSpec) Resolve() (core.Campaign, core.Builder, error) {
 		Hasher:           hasher,
 		RoundFP:          s.RoundFP,
 		Ignore:           ignore,
-		StoreBufferWords: s.StoreBufferWords,
 	}.WithDefaults()
 	if err != nil {
 		return core.Campaign{}, nil, err

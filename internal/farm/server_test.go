@@ -261,3 +261,106 @@ func TestServerKilledAndRestarted(t *testing.T) {
 		t.Errorf("report reassembled from log differs from live report")
 	}
 }
+
+// TestResumeStoreBufferWordsStore resumes a store written by a daemon
+// whose JobSpec still had the store_buffer_words field: its job line
+// carries "store_buffer_words":-1 (inline per-store hashing) and three
+// committed runs. JSON decoding ignores the removed field, and the store
+// buffer's digests equal inline hashing's, so the resumed job must finish
+// with the report and hash log of a fresh job.
+func TestResumeStoreBufferWordsStore(t *testing.T) {
+	dir := t.TempDir()
+	legacy, err := os.ReadFile("testdata/store_buffer_words.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(legacy), `"store_buffer_words":-1`) {
+		t.Fatal("fixture lost its store_buffer_words field")
+	}
+	legacyPath := filepath.Join(dir, "legacy.log")
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const id = JobID("j000001")
+	st, err := OpenStore(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := len(st.Job(id).CompletedRuns())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if committed != 3 {
+		t.Fatalf("fixture has %d committed runs, want 3", committed)
+	}
+	_, c := startTestDaemon(t, legacyPath, Options{RunWorkers: 2})
+	if job := waitDone(t, c, id); job.State != JobDone {
+		t.Fatalf("resumed job %s: %s", job.State, job.Error)
+	}
+
+	spec := smokeSpec("radix", "mix64")
+	spec.Scheme = "swinc"
+	_, fc := startTestDaemon(t, filepath.Join(dir, "fresh.log"), Options{RunWorkers: 2})
+	fresh, err := fc.Submit(bg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job := waitDone(t, fc, fresh.ID); job.State != JobDone {
+		t.Fatalf("fresh job %s: %s", job.State, job.Error)
+	}
+
+	gotRep, err := c.Report(bg, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRep, err := fc.Report(bg, fresh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("resumed report differs from a fresh job's:\nresumed %+v\nfresh   %+v", gotRep, wantRep)
+	}
+	gotLog, err := c.HashLog(bg, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLog, err := fc.HashLog(bg, fresh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotLog != wantLog {
+		t.Errorf("resumed hash log differs from a fresh job's:\nresumed:\n%s\nfresh:\n%s", gotLog, wantLog)
+	}
+}
+
+// TestResumeOutOfRangeJobFails resumes a store holding jobs whose specs
+// once crashed the job worker (and, persisted before they ran, every
+// restart after it). The daemon must fail each job with an error.
+func TestResumeOutOfRangeJobFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "farm.log")
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []JobID
+	for _, spec := range []JobSpec{
+		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: 1 << 60},
+		{App: "fft", Runs: 1 << 50},
+		{App: "fft", Threads: 1 << 40},
+	} {
+		id := st.NextID()
+		if err := st.BeginJob(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, c := startTestDaemon(t, path, Options{RunWorkers: 2})
+	for _, id := range ids {
+		if job := waitDone(t, c, id); job.State != JobFailed || !strings.Contains(job.Error, "want") {
+			t.Errorf("job %s (%+v): state %s, error %q; want failed with a range error", id, job.Spec, job.State, job.Error)
+		}
+	}
+}

@@ -38,7 +38,7 @@ func fleetSpec(app string, runs int) farm.JobSpec {
 
 // recordedRunner resolves a spec and executes its recording run, yielding a
 // runner in the state runJob hands to a dispatcher.
-func recordedRunner(t *testing.T, spec farm.JobSpec) (core.Campaign, *core.Runner, []int) {
+func recordedRunner(t testing.TB, spec farm.JobSpec) (core.Campaign, *core.Runner, []int) {
 	t.Helper()
 	camp, build, err := spec.Resolve()
 	if err != nil {

@@ -58,9 +58,9 @@ type storeBuffer struct {
 }
 
 // SetStoreBuffer attaches a store buffer holding up to words coalesced
-// entries between drains (the Config.StoreBufferWords knob upstream). Any
-// existing buffer is drained first; words <= 0 detaches the buffer and
-// restores inline per-store hashing, the pre-buffer behavior.
+// entries between drains (the simulator attaches sim.StoreBufferAutoWords
+// for HWInc and SWInc). Any existing buffer is drained first; words <= 0
+// detaches the buffer and restores inline per-store hashing.
 func (u *Unit) SetStoreBuffer(words int) {
 	u.drain()
 	if words <= 0 {
@@ -78,14 +78,6 @@ func (u *Unit) SetStoreBuffer(words int) {
 		used:  make([]uint32, 0, words),
 		limit: words,
 	}
-}
-
-// StoreBufferWords returns the attached buffer's capacity (0 when inline).
-func (u *Unit) StoreBufferWords() int {
-	if u.buf == nil {
-		return 0
-	}
-	return u.buf.limit
 }
 
 // PendingWords returns the number of buffered updates not yet drained.

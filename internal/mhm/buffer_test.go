@@ -277,7 +277,7 @@ func TestSetStoreBufferDetaches(t *testing.T) {
 	u.SetStoreBuffer(16)
 	u.OnStore(0x10000, 0, 7, false)
 	u.SetStoreBuffer(0)
-	if u.StoreBufferWords() != 0 {
+	if u.buf != nil {
 		t.Fatal("buffer still attached")
 	}
 	if u.Stats().BufferFlushes != 1 {

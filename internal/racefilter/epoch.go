@@ -43,10 +43,11 @@ import (
 const (
 	epochSlotShift = 56
 	epochClockMask = (uint64(1) << epochSlotShift) - 1
-	// maxThreads bounds the worker count so a slot always fits the packed
-	// epoch's high byte (slots are 0..nt, with nt the init slot).
-	maxThreads = 254
 )
+
+// MaxThreads bounds the worker count so a slot always fits the packed
+// epoch's high byte (slots are 0..nt, with nt the init slot).
+const MaxThreads = 254
 
 func packEpoch(slot int, clock uint64) uint64 {
 	return uint64(slot)<<epochSlotShift | clock
@@ -95,7 +96,7 @@ type DetectorStats struct {
 // NewDetector returns an epoch detector for nt worker threads (plus the
 // init thread).
 func NewDetector(nt int) *Detector {
-	if nt > maxThreads {
+	if nt > MaxThreads {
 		panic("racefilter: epoch detector supports at most 254 worker threads")
 	}
 	d := &Detector{

@@ -1,17 +1,20 @@
 package racefilter
 
-// Differential fuzzing of the epoch detector against the vector-clock
-// reference: random traces of reads, writes, lock operations, and barrier
-// episodes over a small thread/address/lock space must produce identical
-// race sets — same (addr, kind) keys, same first-reporting thread pair,
-// same raw access pcs behind the SiteA/SiteB attribution. CI runs the
-// accumulated corpus under -race.
+// Differential testing of the epoch detector against the vector-clock
+// reference (vcref_test.go): random traces of reads, writes, lock
+// operations, and barrier episodes over a small thread/address/lock space
+// must produce identical race sets — same (addr, kind) keys, same
+// first-reporting thread pair, same raw access pcs behind the SiteA/SiteB
+// attribution. CI runs the accumulated corpus under -race.
 
 import (
 	"reflect"
 	"testing"
 
+	"instantcheck/internal/apps"
+	"instantcheck/internal/replay"
 	"instantcheck/internal/sched"
+	"instantcheck/internal/sim"
 )
 
 // fakePC feeds a synthetic access pc through the pcer seam, standing in
@@ -79,17 +82,6 @@ func FuzzEpochEqualsVectorClock(f *testing.F) {
 	})
 }
 
-// TestSelectedHonorsEnv pins the ICHECK_RACE_DETECTOR seam.
-func TestSelectedHonorsEnv(t *testing.T) {
-	if _, ok := Selected(2).(*Detector); !ok {
-		t.Errorf("default Selected() = %T, want *Detector", Selected(2))
-	}
-	t.Setenv(EnvDetector, "vc")
-	if _, ok := Selected(2).(*VCDetector); !ok {
-		t.Errorf("Selected() with %s=vc = %T, want *VCDetector", EnvDetector, Selected(2))
-	}
-}
-
 // TestReadSetSpill drives a word through inline read entries into the
 // spill map and back (a write clears it), checking the read-write races
 // and the stats accounting.
@@ -146,4 +138,77 @@ func TestSameEpochFastPaths(t *testing.T) {
 	if races := d.Races(); len(races) != 0 {
 		t.Errorf("single-thread trace reported races: %+v", races)
 	}
+}
+
+// teeListener feeds one run's event stream to two detectors, so both
+// observe the identical accesses, pcs and synchronization.
+type teeListener struct{ a, b sim.EventListener }
+
+func (t teeListener) OnRead(th *sim.Thread, addr uint64) {
+	t.a.OnRead(th, addr)
+	t.b.OnRead(th, addr)
+}
+
+func (t teeListener) OnWrite(th *sim.Thread, addr uint64) {
+	t.a.OnWrite(th, addr)
+	t.b.OnWrite(th, addr)
+}
+
+func (t teeListener) OnAcquire(tid int, mu *sched.Mutex) {
+	t.a.OnAcquire(tid, mu)
+	t.b.OnAcquire(tid, mu)
+}
+
+func (t teeListener) OnRelease(tid int, mu *sched.Mutex) {
+	t.a.OnRelease(tid, mu)
+	t.b.OnRelease(tid, mu)
+}
+
+func (t teeListener) OnBarrier(ordinal int) {
+	t.a.OnBarrier(ordinal)
+	t.b.OnBarrier(ordinal)
+}
+
+// TestEpochEqualsVectorClockOnApps runs the differential check on real
+// event streams: every workload and seeded Figure 7 bug (small inputs, 4
+// threads, 3 schedules) under the epoch detector and the vector-clock
+// reference at once, requiring identical race lists, pcs included.
+func TestEpochEqualsVectorClockOnApps(t *testing.T) {
+	type detCase struct {
+		name string
+		app  *apps.App
+		bug  apps.BugKind
+	}
+	var cases []detCase
+	for _, app := range apps.Registry() {
+		cases = append(cases, detCase{app.Name, app, apps.BugNone})
+		if app.HostsBug != apps.BugNone {
+			cases = append(cases, detCase{app.Name + "+bug", app, app.HostsBug})
+		}
+	}
+	total := 0
+	for _, c := range cases {
+		env := replay.NewEnv(1)
+		addrLog := replay.NewAddrLog()
+		for run := 0; run < 3; run++ {
+			eps, ref := NewDetector(4), NewVCDetector(4)
+			m := sim.NewMachine(sim.Config{
+				Threads: 4, ScheduleSeed: int64(run + 1), Scheme: sim.HWInc,
+				RoundFP: c.app.UsesFP, Env: env, AddrLog: addrLog,
+				Events: teeListener{eps, ref},
+			})
+			if _, err := m.Run(c.app.Build(apps.Options{Threads: 4, Small: true, Bug: c.bug})); err != nil {
+				t.Fatalf("%s run %d: %v", c.name, run, err)
+			}
+			er, vr := eps.Races(), ref.Races()
+			if !reflect.DeepEqual(er, vr) {
+				t.Fatalf("%s run %d: race lists diverge:\nepoch: %+v\nvcref: %+v", c.name, run, er, vr)
+			}
+			total += len(er)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no races detected: the comparison is vacuous")
+	}
+	t.Logf("%d races compared", total)
 }

@@ -14,11 +14,9 @@
 //     the simulator's event stream — the baseline race detector
 //     InstantCheck would piggyback on. Same-epoch repeat accesses
 //     short-circuit in O(1) with no stack unwinding, so detection runs
-//     cost close to plain check runs. VCDetector (vcref.go) is the
-//     retained vector-clock reference implementation; the two are pinned
-//     observationally identical by differential fuzzing, and
-//     ICHECK_RACE_DETECTOR=vc selects the reference at run time (the A/B
-//     benchmark hook).
+//     cost close to plain check runs. The package tests pin it
+//     observationally identical to a vector-clock reference detector, on
+//     fuzzed event traces and on every workload's real event stream.
 //   - Classify: runs the program under many schedules and marks each
 //     detected racy address benign or harmful by whether any reachable
 //     final state disagrees at it — the paper's observation that "using
@@ -28,7 +26,6 @@ package racefilter
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -87,31 +84,6 @@ type Race struct {
 	// differential fuzzer compares them so attribution equivalence is
 	// pinned at pc granularity, not just file:line.
 	pcA, pcB uintptr
-}
-
-// HB is the happens-before detector contract shared by the epoch detector
-// (the default) and the vector-clock reference: a sim event listener that
-// accumulates a deduplicated race set across everything it observes.
-type HB interface {
-	sim.EventListener
-	// Races returns the detected races sorted by address then kind.
-	Races() []Race
-}
-
-// EnvDetector is the environment variable that selects the detector
-// implementation process-wide: "vc" picks the vector-clock reference,
-// anything else (including unset) the epoch detector. It is the
-// interleaved-A/B hook, mirroring ICHECK_STORE_BUFFER and
-// ICHECK_TRAVERSE_DELTA.
-const EnvDetector = "ICHECK_RACE_DETECTOR"
-
-// Selected returns a fresh detector of the implementation selected by
-// EnvDetector.
-func Selected(nt int) HB {
-	if os.Getenv(EnvDetector) == "vc" {
-		return NewVCDetector(nt)
-	}
-	return NewDetector(nt)
 }
 
 type raceKey struct {
@@ -214,7 +186,7 @@ func Detect(build func() sim.Program, cfg Config) ([]Race, error) {
 	addrLog := replay.NewAddrLog()
 	union := make(map[raceKey]Race)
 	for run := 0; run < cfg.runs(); run++ {
-		det := Selected(cfg.Threads)
+		det := NewDetector(cfg.Threads)
 		m := sim.NewMachine(sim.Config{
 			Threads:      cfg.Threads,
 			ScheduleSeed: cfg.BaseSeed + int64(run),

@@ -237,17 +237,6 @@ func TestHarmfulRaceFlagged(t *testing.T) {
 	}
 }
 
-// TestVolrendBenignRaceEndToEnd runs the detector over the actual volrend
-// kernel: its hand-coded barrier contains a real race, and the program is
-// nevertheless deterministic — InstantCheck's state comparison filters the
-// race as benign, exactly the paper's observation.
-func TestVolrendBenignRaceEndToEnd(t *testing.T) {
-	// Import cycle avoidance: apps imports core; racefilter is below both.
-	// Build volrend through the registry at one remove is not possible
-	// here, so this end-to-end check lives in the root package tests.
-	t.Skip("covered by TestRaceFilterVolrend in the root package")
-}
-
 // TestAccessKindStrings pins diagnostics.
 func TestAccessKindStrings(t *testing.T) {
 	if WriteWrite.String() != "write-write" || ReadWrite.String() != "read-write" || WriteRead.String() != "write-read" {

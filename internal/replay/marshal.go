@@ -75,6 +75,18 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// count reads a declared entry count and rejects one the remaining bytes
+// cannot hold (every entry takes at least one byte), so a corrupt count
+// can neither panic the decoder's pre-sizing nor allocate past the input.
+func (r *reader) count() uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = fmt.Errorf("replay: declared count %d exceeds the %d remaining bytes", n, len(r.b))
+		return 0
+	}
+	return n
+}
+
 func (r *reader) string() string {
 	n := r.uvarint()
 	if r.err != nil {
@@ -128,7 +140,7 @@ func (l *AddrLog) MarshalBinary() ([]byte, error) {
 func UnmarshalAddrLog(b []byte) (*AddrLog, error) {
 	r := &reader{b: b}
 	r.magic(addrLogMagic)
-	n := r.uvarint()
+	n := r.count()
 	l := &AddrLog{addrs: make(map[addrKey]uint64, n)}
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		site := r.string()
@@ -194,7 +206,7 @@ func (e *Env) MarshalBinary() ([]byte, error) {
 func UnmarshalEnv(b []byte) (*Env, error) {
 	r := &reader{b: b}
 	r.magic(envMagic)
-	n := r.uvarint()
+	n := r.count()
 	e := &Env{
 		streams: make(map[envKey][]uint64, n),
 		cursor:  make(map[envKey]int, n),
@@ -202,7 +214,7 @@ func UnmarshalEnv(b []byte) (*Env, error) {
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		tid := r.uvarint()
 		name := r.string()
-		vals := r.uvarint()
+		vals := r.count()
 		s := make([]uint64, 0, vals)
 		for j := uint64(0); j < vals && r.err == nil; j++ {
 			s = append(s, r.uvarint())

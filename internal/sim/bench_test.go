@@ -52,36 +52,33 @@ func (p *travState) Setup(t *Thread) {
 func (p *travState) Worker(t *Thread) {}
 
 // BenchmarkTraverseHash isolates the per-checkpoint sweep cost on the
-// travState state: sequential and goroutine-sharded full sweeps
-// (TraverseDeltaOff pins them to the pre-delta behavior — with the cache
-// armed, repeated sweeps of an unchanged state would be near-free no-ops),
-// and the delta variant, which dirties one of every 16 pages before each
-// checkpoint and measures the O(dirty) resweep. The delta variant also
+// travState state. The sequential and parallel variants hash the runs the
+// run's seeding full sweep gathered, at one and four shards (calling
+// hashRuns directly: repeated checkpoints of an unchanged state would be
+// near-free delta sweeps). The delta variant dirties one of every 16 pages
+// before each checkpoint and measures the O(dirty) resweep; it also
 // asserts the delta path was actually taken, so the CI bench-smoke pass
 // (one iteration of every benchmark) fails if delta mode silently
 // regresses to full sweeps.
 func BenchmarkTraverseHash(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string
-		shards int
-		mode   TraverseDeltaMode
+		shards int // 0 selects the delta variant
 	}{
-		{"sequential", 1, TraverseDeltaOff},
-		{"parallel", 4, TraverseDeltaOff},
-		{"delta", 1, TraverseDeltaAuto},
+		{"sequential", 1},
+		{"parallel", 4},
+		{"delta", 0},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			m := NewMachine(Config{
-				Threads: 1, ScheduleSeed: 1, Scheme: SWTr,
-				TraverseShards: cfg.shards, TraverseDelta: cfg.mode,
-			})
+			m := NewMachine(Config{Threads: 1, ScheduleSeed: 1, Scheme: SWTr})
 			prog := &travState{}
+			// The end checkpoint's full sweep seeds the page cache and
+			// leaves every live run gathered in m.travRuns.
 			if _, err := m.Run(prog); err != nil {
 				b.Fatal(err)
 			}
 			var dirtyAddrs []uint64
-			if cfg.mode != TraverseDeltaOff {
-				_ = m.traverseHash() // seed the page cache, clear the bitmap
+			if cfg.shards == 0 {
 				for pn := 0; pn < travStatePages; pn += 16 {
 					dirtyAddrs = append(dirtyAddrs, prog.base+uint64(pn)*pageBytes)
 				}
@@ -89,17 +86,19 @@ func BenchmarkTraverseHash(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if dirtyAddrs != nil {
-					b.StopTimer()
-					for _, a := range dirtyAddrs {
-						m.Mem.Store(a, uint64(i)|1)
-					}
-					b.StartTimer()
+				if cfg.shards > 0 {
+					m.hashRuns(m.travRuns, cfg.shards)
+					continue
 				}
+				b.StopTimer()
+				for _, a := range dirtyAddrs {
+					m.Mem.Store(a, uint64(i)|1)
+				}
+				b.StartTimer()
 				_ = m.traverseHash()
 			}
 			b.StopTimer()
-			if cfg.mode != TraverseDeltaOff && m.counters.TraverseDeltaSweeps == 0 {
+			if cfg.shards == 0 && m.counters.TraverseDeltaSweeps == 0 {
 				b.Fatal("delta variant never took the delta path")
 			}
 		})

@@ -71,15 +71,14 @@ func (p *bufStreamProg) Worker(t *Thread) {
 	}
 }
 
-// runBufStream executes the torture workload with the given buffer size.
-func runBufStream(t *testing.T, scheme Scheme, words int, progSeed uint64, schedSeed int64, log *replay.AddrLog) *Result {
+// runBufStream executes the torture workload once.
+func runBufStream(t *testing.T, scheme Scheme, progSeed uint64, schedSeed int64, log *replay.AddrLog) *Result {
 	t.Helper()
 	m := NewMachine(Config{
-		Threads:          3,
-		ScheduleSeed:     schedSeed,
-		Scheme:           scheme,
-		StoreBufferWords: words,
-		AddrLog:          log,
+		Threads:      3,
+		ScheduleSeed: schedSeed,
+		Scheme:       scheme,
+		AddrLog:      log,
 	})
 	res, err := m.Run(&bufStreamProg{nt: 3, progSeed: progSeed, steps: 60})
 	if err != nil {
@@ -88,66 +87,13 @@ func runBufStream(t *testing.T, scheme Scheme, words int, progSeed uint64, sched
 	return res
 }
 
-// FuzzBufferedEqualsUnbatched is the tentpole's bit-identity gate at the
-// simulator level: for any op stream, any schedule and any buffer size,
-// the buffered SW-Inc and HW-Inc schemes must produce exactly the
-// per-checkpoint hash vector of inline per-store hashing. Not "equivalent
-// modulo reordering" — the same uint64s, at every checkpoint.
-func FuzzBufferedEqualsUnbatched(f *testing.F) {
-	f.Add(uint64(1), int64(2), uint8(0))
-	f.Add(uint64(11), int64(5), uint8(4))
-	f.Add(uint64(99), int64(42), uint8(255))
-	f.Fuzz(func(t *testing.T, progSeed uint64, schedSeed int64, words uint8) {
-		for _, scheme := range []Scheme{SWInc, HWInc} {
-			log := replay.NewAddrLog()
-			inline := runBufStream(t, scheme, -1, progSeed, schedSeed, log)
-			buffered := runBufStream(t, scheme, int(words)%128+1, progSeed, schedSeed, log)
-			iv, bv := inline.SHVector(), buffered.SHVector()
-			if len(iv) != len(bv) {
-				t.Fatalf("%v: checkpoint counts differ: inline %d, buffered %d", scheme, len(iv), len(bv))
-			}
-			for i := range iv {
-				if iv[i] != bv[i] {
-					t.Fatalf("%v checkpoint %d (%s): inline %s != buffered %s",
-						scheme, i, inline.Checkpoints[i].Label, iv[i], bv[i])
-				}
-			}
-			if inline.MHMStats.BufferFlushes != 0 {
-				t.Fatalf("%v: inline run flushed %d times", scheme, inline.MHMStats.BufferFlushes)
-			}
-			if buffered.MHMStats.BufferFlushes == 0 {
-				t.Fatalf("%v: buffered run never drained", scheme)
-			}
-			// Legacy accounting must not notice the buffer.
-			is, bs := inline.MHMStats, buffered.MHMStats
-			if is.HashedStores != bs.HashedStores || is.SkippedStores != bs.SkippedStores ||
-				is.RoundedStores != bs.RoundedStores || is.MinusOps != bs.MinusOps || is.PlusOps != bs.PlusOps {
-				t.Fatalf("%v: per-store stats diverged: inline %+v, buffered %+v", scheme, is, bs)
-			}
-		}
-	})
-}
-
-// TestStoreBufferEnvPin checks ICHECK_STORE_BUFFER=off disables buffering
-// process-wide regardless of the config (the benchmark A/B pin).
-func TestStoreBufferEnvPin(t *testing.T) {
-	t.Setenv("ICHECK_STORE_BUFFER", "off")
-	res := runBufStream(t, SWInc, 0, 3, 4, replay.NewAddrLog())
-	if res.MHMStats.BufferFlushes != 0 {
-		t.Errorf("env pin ignored: %d flushes", res.MHMStats.BufferFlushes)
-	}
-	if res.Counters.StoreBufferFlushes != 0 {
-		t.Errorf("counters mirror shows %d flushes under pin", res.Counters.StoreBufferFlushes)
-	}
-}
-
 // TestStoreBufferSchemeGate checks the buffer only attaches to the true
 // incremental schemes: SW-InstantCheck_NonAtomic keeps its naive inline
 // instrumentation (its §4.1 race window must stay observable), and the
 // traversal scheme has no per-store hashing to batch.
 func TestStoreBufferSchemeGate(t *testing.T) {
 	for _, scheme := range []Scheme{SWIncNonAtomic, SWTr, Native} {
-		m := NewMachine(Config{Threads: 2, ScheduleSeed: 1, Scheme: scheme, StoreBufferWords: 64})
+		m := NewMachine(Config{Threads: 2, ScheduleSeed: 1, Scheme: scheme})
 		res, err := m.Run(&allocFreeProg{nt: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +107,7 @@ func TestStoreBufferSchemeGate(t *testing.T) {
 // TestStoreBufferCountersMirror checks the run-end copy of the aggregated
 // buffer stats into the cost-model counters.
 func TestStoreBufferCountersMirror(t *testing.T) {
-	res := runBufStream(t, HWInc, 16, 7, 8, replay.NewAddrLog())
+	res := runBufStream(t, HWInc, 7, 8, replay.NewAddrLog())
 	c, s := res.Counters, res.MHMStats
 	if c.StoreBufferFlushes != s.BufferFlushes || c.StoreBufferDrainedWords != s.DrainedWords ||
 		c.StoreBufferCoalesced != s.CoalescedStores {

@@ -6,62 +6,6 @@ import (
 	"instantcheck/internal/replay"
 )
 
-// FuzzDeltaEqualsFullSweep fuzzes the dirty-page delta hasher's defining
-// invariant over program shapes and schedules: with stores, mallocs, frees
-// (including address reuse via the shared AddrLog), an ignore set, and a
-// checkpoint barrier all interleaving, the delta-mode digests — raw and
-// ignore-adjusted — are bit-identical to full sweeps at every checkpoint,
-// both sequentially and under a forced shard count.
-func FuzzDeltaEqualsFullSweep(f *testing.F) {
-	f.Add(uint64(1), int64(1))
-	f.Add(uint64(0xdeadbeef), int64(-7))
-	f.Add(uint64(99), int64(3))
-	f.Fuzz(func(t *testing.T, progSeed uint64, schedSeed int64) {
-		ignore := NewIgnoreSet(
-			IgnoreRule{Site: "fuzz.heap"},
-			IgnoreRule{Site: "static:fuzz.shared", Offsets: []int{0, 3}},
-		)
-		// One shared AddrLog: the first run records malloc placement, the
-		// delta runs replay it, re-allocating at previously freed bases.
-		log := replay.NewAddrLog()
-		runTr := func(mode TraverseDeltaMode, shards int) *Result {
-			t.Helper()
-			m := NewMachine(Config{
-				Threads:        3,
-				ScheduleSeed:   schedSeed,
-				Scheme:         SWTr,
-				AddrLog:        log,
-				Ignore:         ignore,
-				TraverseDelta:  mode,
-				TraverseShards: shards,
-			})
-			res, err := m.Run(newFuzz(3, progSeed, 40))
-			if err != nil {
-				t.Fatalf("fuzz run: %v", err)
-			}
-			return res
-		}
-		full := runTr(TraverseDeltaOff, 0)
-		for _, shards := range []int{0, 3} {
-			delta := runTr(TraverseDeltaAuto, shards)
-			if len(delta.Checkpoints) != len(full.Checkpoints) {
-				t.Fatalf("shards %d: checkpoint counts differ: %d vs %d",
-					shards, len(delta.Checkpoints), len(full.Checkpoints))
-			}
-			for i := range full.Checkpoints {
-				d, fl := delta.Checkpoints[i], full.Checkpoints[i]
-				if d.RawSH != fl.RawSH || d.SH != fl.SH {
-					t.Fatalf("shards %d, checkpoint %d: delta raw %s adj %s, full raw %s adj %s",
-						shards, i, d.RawSH, d.SH, fl.RawSH, fl.SH)
-				}
-			}
-			if delta.Counters.TraverseDeltaSweeps == 0 {
-				t.Fatalf("shards %d: delta mode never took the delta path", shards)
-			}
-		}
-	})
-}
-
 // FuzzIncrementalEqualsTraversal fuzzes the central invariant over program
 // shapes and schedules: the incrementally maintained State Hash equals the
 // traversal hash at every checkpoint.

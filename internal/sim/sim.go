@@ -144,57 +144,16 @@ type Config struct {
 	// Result.OutputData (for tests that decode the program's output);
 	// by default only the stream hashes are kept, as in the paper.
 	CaptureOutput bool
-	// TraverseShards controls the parallelism of the traversal scheme's
-	// checkpoint sweep. 0 (the default) selects automatically: shard
-	// across runtime.GOMAXPROCS goroutines when the live state is large
-	// enough to amortize the fan-out, sequential otherwise. 1 or any
-	// negative value forces the sequential sweep; N > 1 forces N shards
-	// (property tests use this to exercise the parallel path on small
-	// states). The sharded sweep is bit-identical to the sequential one
-	// because ⊕ is commutative and associative.
-	TraverseShards int
-	// StoreBufferWords sizes the per-thread MHM store buffer: how many
-	// coalesced (addr, old, new) entries a unit parks between observation
-	// points before a forced drain through the scattered-batch hash kernel.
-	// The zero value selects the auto default (StoreBufferAutoWords); any
-	// negative value disables the buffer, restoring inline per-store
-	// hashing (the pre-buffer behavior; A/B benchmarks and differential
-	// tests use it). The buffer applies to the HWInc and SWInc schemes;
-	// SWIncNonAtomic always hashes inline, preserving its deliberate §4.1
-	// stale-read window unchanged. Setting ICHECK_STORE_BUFFER=off in the
-	// environment pins the buffer off process-wide (the interleaved-A/B
-	// hook, mirroring ICHECK_TRAVERSE_DELTA).
-	StoreBufferWords int
-	// TraverseDelta selects the traversal scheme's checkpoint strategy.
-	// The zero value (TraverseDeltaAuto) full-sweeps the first checkpoint
-	// to seed a per-page hash-contribution cache, then rehashes only the
-	// pages dirtied since the previous checkpoint and patches the cached
-	// State Hash — O(dirty) instead of O(live) per checkpoint, and
-	// bit-identical to the full sweep because the page sums form an
-	// abelian group under ⊕/⊖.
-	TraverseDelta TraverseDeltaMode
 }
 
-// StoreBufferAutoWords is the store-buffer capacity the zero value of
-// Config.StoreBufferWords selects. 256 entries keep the slot table (512
-// slots at ≤50% load) inside the L1 data cache alongside the memory
-// engine's working set, while leaving drains rare enough that the
-// devirtualized batch kernel amortizes its loop setup.
+// StoreBufferAutoWords is the capacity of the per-thread MHM store buffer
+// the HWInc and SWInc schemes park coalesced (addr, old, new) entries in
+// between observation points. 256 entries keep the slot table (512 slots
+// at ≤50% load) inside the L1 data cache alongside the memory engine's
+// working set, while leaving drains rare enough that the devirtualized
+// batch kernel amortizes its loop setup. SWIncNonAtomic always hashes
+// inline, preserving its deliberate §4.1 stale-read window unchanged.
 const StoreBufferAutoWords = 256
-
-// TraverseDeltaMode selects how the traversal scheme computes checkpoint
-// hashes after the first sweep.
-type TraverseDeltaMode int
-
-const (
-	// TraverseDeltaAuto (the default) enables dirty-page delta hashing:
-	// the first traversal checkpoint sweeps everything and seeds the
-	// per-page cache; later checkpoints rehash only dirty pages.
-	TraverseDeltaAuto TraverseDeltaMode = iota
-	// TraverseDeltaOff forces a full sweep at every checkpoint (the
-	// pre-delta behavior; A/B benchmarks and differential tests use it).
-	TraverseDeltaOff
-)
 
 // EventListener observes a run's memory accesses and synchronization, the
 // event feed a dynamic race detector consumes (paper §6.1). The init
@@ -302,8 +261,8 @@ type Counters struct {
 	TraverseShardedSweeps uint64
 	// TraverseFullSweeps and TraverseDeltaSweeps split the traversal
 	// scheme's checkpoints by strategy: full sweeps visit every live run
-	// (the seeding sweep in delta mode, every sweep with delta off);
-	// delta sweeps rehash only pages dirtied since the last checkpoint.
+	// and seed the per-page cache; delta sweeps rehash only pages dirtied
+	// since the last checkpoint.
 	TraverseFullSweeps  uint64
 	TraverseDeltaSweeps uint64
 	// TraverseDirtyPages sums the dirty pages rehashed over all delta

@@ -232,18 +232,18 @@ func (p *allocFreeProg) Worker(t *Thread) {
 // TestFreeErasesState checks freed memory leaves the hashed state entirely
 // (§7.2: freed buffers are "no longer part of the program state"): before
 // the frees the checkpointed State Hash is nonzero, after them it is
-// exactly Zero — whether the erase pairs were hashed inline or routed
-// through the store buffer's batch path.
+// exactly Zero — whether the erase pairs were routed through the store
+// buffer's batch path (HWInc) or hashed inline (SWIncNonAtomic).
 func TestFreeErasesState(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		words int
+		name   string
+		scheme Scheme
 	}{
-		{"buffered", 0}, // 0 = auto: the batch drain path
-		{"inline", -1},  // negative disables the buffer
+		{"buffered", HWInc},
+		{"inline", SWIncNonAtomic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewMachine(Config{Threads: 2, ScheduleSeed: 9, Scheme: HWInc, StoreBufferWords: tc.words})
+			m := NewMachine(Config{Threads: 2, ScheduleSeed: 9, Scheme: tc.scheme})
 			res, err := m.Run(&allocFreeProg{nt: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -262,7 +262,7 @@ func TestFreeErasesState(t *testing.T) {
 			if res.Counters.FreeEraseWords != 12 {
 				t.Errorf("FreeEraseWords = %d", res.Counters.FreeEraseWords)
 			}
-			if buffered := tc.words == 0; (res.MHMStats.BufferFlushes > 0) != buffered {
+			if buffered := tc.scheme == HWInc; (res.MHMStats.BufferFlushes > 0) != buffered {
 				t.Errorf("BufferFlushes = %d with buffering %v", res.MHMStats.BufferFlushes, buffered)
 			}
 		})

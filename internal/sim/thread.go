@@ -152,13 +152,10 @@ func (t *Thread) PC() uintptr {
 	return t.CallersPC()
 }
 
-// CallersPC is the runtime.Callers-based unwind behind PC: the capture
-// cost every instrumented access paid before the epoch detector (one
-// traceback with inline expansion per access). The vector-clock
-// reference detector pulls through it directly so the BENCH_8 A/B
-// baseline keeps the original architecture's per-access cost; it also
-// backstops PC when frame pointers cannot be walked. Both captures
-// return the same pc for the same access.
+// CallersPC is the runtime.Callers-based unwind behind PC (one traceback
+// with inline expansion per call). It backstops PC when frame pointers
+// cannot be walked. Both captures return the same pc for the same
+// access.
 func (t *Thread) CallersPC() uintptr {
 	var pcs [8]uintptr
 	n := runtime.Callers(2, pcs[:])
