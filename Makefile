@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race race-farm bench bench-smoke obs-smoke fleet-smoke explore-smoke exploreeff build table1 table2 figures everything cover fmt vet lint
+.PHONY: all test race bench bench-smoke obs-smoke fleet-smoke explore-smoke exploreeff build table1 table2 figures everything cover fmt vet lint
 
 all: test lint
 
@@ -20,11 +20,6 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# The farm's invariants (parallel == sequential, crash resume) under the
-# race detector — the CI subset.
-race-farm:
-	$(GO) test -race ./internal/farm ./internal/core
-
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -36,25 +31,19 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run='TestDetectionRunFastPaths' .
 
-# Observability smoke gate: boot a real checkd, run one small campaign,
-# scrape /metrics from the live daemon and fail on malformed exposition or
-# missing key series (see cmd/obssmoke).
+# Smoke gates over real checkd/checkworker processes, one cmd/smoke
+# scenario each (see its package doc): obs lints /metrics after a small
+# campaign; fleet SIGKILLs a worker mid-campaign and requires every report
+# byte-identical to a single-node daemon's; explore requires every search
+# strategy to find its seeded Figure 7 bug within budget.
 obs-smoke:
-	$(GO) run ./cmd/obssmoke
+	$(GO) run ./cmd/smoke obs
 
-# Fleet smoke gate: boot a real checkd -fleet plus four checkworker
-# processes, run the full 17-app campaign, SIGKILL one worker mid-shard,
-# and require every report byte-identical to a plain single-node daemon's
-# (see cmd/fleetsmoke).
 fleet-smoke:
-	$(GO) run ./cmd/fleetsmoke
+	$(GO) run ./cmd/smoke fleet
 
-# Exploration smoke gate: boot a real checkd, submit one explore job per
-# strategy hunting a seeded Figure 7 bug, require every search to find its
-# divergence within budget, and lint the daemon's per-strategy /metrics
-# series (see cmd/exploresmoke).
 explore-smoke:
-	$(GO) run ./cmd/exploresmoke
+	$(GO) run ./cmd/smoke explore
 
 # The exploration-efficiency experiment: median runs-to-detect per
 # strategy on the three seeded Figure 7 bugs at equal budget (the table in

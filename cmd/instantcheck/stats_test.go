@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"instantcheck/internal/farm"
 )
@@ -139,5 +141,51 @@ func TestRemoteStatsRejectsMalformed(t *testing.T) {
 	c := statsDaemon(t, "what even is this{")
 	if err := remoteStats(context.Background(), c, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Errorf("malformed exposition accepted: %v", err)
+	}
+}
+
+// TestRemoteStatsLiveDaemon renders stats from a real farm.Server's
+// /metrics, so renaming a metric family a summary line reads fails here
+// instead of silently dropping the line.
+func TestRemoteStatsLiveDaemon(t *testing.T) {
+	store, err := farm.OpenStore(filepath.Join(t.TempDir(), "farm.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := farm.NewServer(store, farm.Options{RunWorkers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	srv.Start(ctx)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		cancel()
+		srv.Wait()
+		store.Close()
+	})
+	c := farm.NewClient(hs.URL)
+
+	for _, spec := range []farm.JobSpec{
+		{App: "fft", Scheme: "hwinc", Runs: 3, Threads: 4, Small: true},
+		{App: "fft", Scheme: "swtr", Runs: 3, Threads: 4, Small: true},
+		{App: "waterSP", Kind: "explore", Strategy: "race-directed", Bug: "atomicity",
+			Runs: 4, Threads: 4, InputSeed: 1, RoundFP: true, Small: true},
+	} {
+		job, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job, err = c.Wait(ctx, job.ID, 10*time.Millisecond); err != nil || job.State != farm.JobDone {
+			t.Fatalf("%s %s job: %v %+v", spec.App, spec.Kind, err, job)
+		}
+	}
+
+	var out bytes.Buffer
+	if err := remoteStats(ctx, c, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"traverse delta:", "store buffer:", "detection:", "explore[race-directed]:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stats output missing %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -182,16 +182,12 @@ func parseSample(line string) (Sample, error) {
 	}
 	rest = rest[i:]
 	if rest[0] == '{' {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parseLabels(rest[1:end])
+		labels, tail, err := parseLabels(rest[1:])
 		if err != nil {
 			return s, err
 		}
 		s.Labels = labels
-		rest = rest[end+1:]
+		rest = tail
 	}
 	rest = strings.TrimSpace(rest)
 	fields := strings.Fields(rest)
@@ -206,43 +202,51 @@ func parseSample(line string) (Sample, error) {
 	return s, nil
 }
 
-// parseLabels parses the inside of a {...} label set.
-func parseLabels(s string) (map[string]string, error) {
+// parseLabels parses a label set through its closing '}' (the first one
+// outside a quoted value) and returns the labels and the text after it.
+func parseLabels(s string) (map[string]string, string, error) {
 	out := make(map[string]string)
-	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+	for {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			return nil, "", fmt.Errorf("unterminated label set")
+		}
+		if s[0] == '}' {
+			return out, s[1:], nil
+		}
 		eq := strings.Index(s, "=")
 		if eq <= 0 {
-			return nil, fmt.Errorf("malformed label pair in %q", s)
+			return nil, "", fmt.Errorf("malformed label pair in %q", s)
 		}
 		name := strings.TrimSpace(s[:eq])
 		if !labelName.MatchString(name) {
-			return nil, fmt.Errorf("invalid label name %q", name)
+			return nil, "", fmt.Errorf("invalid label name %q", name)
 		}
 		s = strings.TrimSpace(s[eq+1:])
 		if len(s) == 0 || s[0] != '"' {
-			return nil, fmt.Errorf("label %s: unquoted value", name)
+			return nil, "", fmt.Errorf("label %s: unquoted value", name)
 		}
 		value, tail, err := unquoteLabel(s)
 		if err != nil {
-			return nil, fmt.Errorf("label %s: %v", name, err)
+			return nil, "", fmt.Errorf("label %s: %v", name, err)
 		}
 		if _, dup := out[name]; dup {
-			return nil, fmt.Errorf("duplicate label %s", name)
+			return nil, "", fmt.Errorf("duplicate label %s", name)
 		}
 		out[name] = value
 		s = strings.TrimSpace(tail)
-		if s != "" {
+		if s != "" && s[0] != '}' {
 			if s[0] != ',' {
-				return nil, fmt.Errorf("expected ',' after label %s", name)
+				return nil, "", fmt.Errorf("expected ',' after label %s", name)
 			}
 			s = s[1:]
 		}
 	}
-	return out, nil
 }
 
-// unquoteLabel consumes a quoted label value (exposition escaping: \\, \",
-// \n) and returns the value plus the unconsumed tail.
+// unquoteLabel consumes a quoted label value and returns the value plus
+// the unconsumed tail. The exposition format knows exactly three escapes,
+// \\, \" and \n; like Prometheus, any other is an error.
 func unquoteLabel(s string) (value, tail string, err error) {
 	var b strings.Builder
 	for i := 1; i < len(s); i++ {
@@ -260,10 +264,7 @@ func unquoteLabel(s string) (value, tail string, err error) {
 			case '\\', '"':
 				b.WriteByte(s[i])
 			default:
-				// Tolerate Go-style escapes the writer may emit for
-				// non-printables; keep them verbatim.
-				b.WriteByte('\\')
-				b.WriteByte(s[i])
+				return "", "", fmt.Errorf("invalid escape \\%c", s[i])
 			}
 		default:
 			b.WriteByte(c)

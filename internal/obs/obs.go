@@ -23,6 +23,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -342,9 +343,8 @@ type GaugeVec struct {
 	f     *family
 	label string
 
-	mu      sync.Mutex
-	byValue map[string]*Gauge
-	funcs   map[string]bool
+	mu    sync.Mutex
+	funcs map[string]bool
 }
 
 // GaugeVec registers a gauge family partitioned by the given label.
@@ -353,28 +353,10 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 		panic("obs: invalid label name " + label)
 	}
 	return &GaugeVec{
-		f:       r.newFamily(name, help, kindGauge),
-		label:   label,
-		byValue: make(map[string]*Gauge),
-		funcs:   make(map[string]bool),
+		f:     r.newFamily(name, help, kindGauge),
+		label: label,
+		funcs: make(map[string]bool),
 	}
-}
-
-// With returns the gauge for the given label value, creating it on first
-// use. The returned gauge is cached; hot callers should hold on to it.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g := v.byValue[value]
-	if g == nil {
-		g = &Gauge{}
-		v.byValue[value] = g
-		v.f.add(&series{
-			labels: renderLabels(v.label, value),
-			read:   func() float64 { return float64(g.Value()) },
-		})
-	}
-	return g
 }
 
 // Func registers a scrape-time computed series for the given label value.
@@ -384,14 +366,19 @@ func (v *GaugeVec) With(value string) *Gauge {
 func (v *GaugeVec) Func(value string, fn func() float64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.funcs[value] || v.byValue[value] != nil {
+	if v.funcs[value] {
 		return
 	}
 	v.funcs[value] = true
 	v.f.add(&series{labels: renderLabels(v.label, value), read: fn})
 }
 
-// renderLabels formats a single-label suffix with exposition escaping.
+// labelEscaper applies the exposition format's label-value escaping, which
+// knows exactly three escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// renderLabels formats a single-label suffix. The exposition format is
+// UTF-8, so invalid bytes in value become U+FFFD.
 func renderLabels(name, value string) string {
-	return fmt.Sprintf("{%s=%q}", name, value)
+	return fmt.Sprintf(`{%s="%s"}`, name, labelEscaper.Replace(strings.ToValidUTF8(value, "\uFFFD")))
 }

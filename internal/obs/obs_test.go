@@ -154,6 +154,7 @@ func TestLintRejectsMalformed(t *testing.T) {
 		"dup type":       "# TYPE x counter\n# TYPE x counter\nx 1\n",
 		"unquoted label": "# TYPE x counter\nx{k=v} 1\n",
 		"torn labels":    "# TYPE x counter\nx{k=\"v\" 1\n",
+		"unknown escape": "# TYPE x counter\nx{k=\"a\\tb\"} 1\n",
 		"empty payload":  "# TYPE x counter\n",
 		"non-cumulative histogram": "# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n",
@@ -163,23 +164,53 @@ func TestLintRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: lint accepted malformed payload:\n%s", name, payload)
 		}
 	}
-	good := "# HELP ok_total fine\n# TYPE ok_total counter\nok_total{a=\"b\",c=\"d\"} 12 1700000000\n"
-	if err := Lint(strings.NewReader(good)); err != nil {
-		t.Errorf("lint rejected valid payload: %v", err)
+	for _, good := range []string{
+		"# HELP ok_total fine\n# TYPE ok_total counter\nok_total{a=\"b\",c=\"d\"} 12 1700000000\n",
+		"# TYPE ok_total counter\nok_total{a=\"x}y\\\"z\",c=\"}\"} 12\n",
+	} {
+		if err := Lint(strings.NewReader(good)); err != nil {
+			t.Errorf("lint rejected valid payload: %v\n%s", err, good)
+		}
 	}
 }
 
-// TestGaugeVec pins the labeled-gauge family: settable series via With,
-// scrape-time series via Func, first registration winning on re-announce.
+// FuzzLabelRoundTrip: any label value renders to an exposition that lints
+// and parses back to the value itself, invalid UTF-8 replaced by U+FFFD.
+// Worker names reach the fleet's label values from outside the program.
+func FuzzLabelRoundTrip(f *testing.F) {
+	for _, v := range []string{"a}b", "a\tb", "a\x01b", "\xff"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		reg := NewRegistry()
+		reg.CounterVec("test_total", "", "worker").With(v).Inc()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		text := sb.String()
+		if err := Lint(strings.NewReader(text)); err != nil {
+			t.Fatalf("lint: %v\n%s", err, text)
+		}
+		samples, err := ParseExposition(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, text)
+		}
+		if got, want := samples[0].Label("worker"), strings.ToValidUTF8(v, "\uFFFD"); got != want {
+			t.Errorf("label value %q parsed back as %q, want %q\n%s", v, got, want, text)
+		}
+	})
+}
+
+// TestGaugeVec pins the labeled-gauge family: scrape-time series via Func,
+// first registration winning on re-announce.
 func TestGaugeVec(t *testing.T) {
 	reg := NewRegistry()
 	v := reg.GaugeVec("test_worker_live", "liveness per worker", "worker")
-	v.With("w1").Set(1)
-	v.With("w1").Set(0) // same series, not a duplicate
+	v.Func("w1", func() float64 { return 0 })
 	live := 1.0
 	v.Func("w2", func() float64 { return live })
 	v.Func("w2", func() float64 { return 99 }) // re-announce: first wins
-	v.Func("w1", func() float64 { return 99 }) // value already has a gauge: no-op
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -219,7 +250,7 @@ func TestLintMerged(t *testing.T) {
 	farm.Histogram("checkfarm_append_seconds", "append latency", []float64{1})
 	fleet := NewRegistry()
 	fleet.Counter("checkfleet_shards_total", "shards").Inc()
-	fleet.GaugeVec("checkfleet_worker_live", "liveness", "worker").With("w1").Set(1)
+	fleet.GaugeVec("checkfleet_worker_live", "liveness", "worker").Func("w1", func() float64 { return 1 })
 
 	if err := LintMerged(farm, fleet); err != nil {
 		t.Fatalf("disjoint registries rejected: %v", err)
