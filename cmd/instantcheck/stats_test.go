@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -60,6 +61,38 @@ checkfarm_run_duration_seconds_sum 1
 checkfarm_run_duration_seconds_count 4
 `
 
+// fleetExposition extends statsExposition with a fleet-mode daemon's
+// checkfleet families.
+const fleetExposition = statsExposition + `# TYPE checkfleet_workers_live gauge
+checkfleet_workers_live 3
+# TYPE checkfleet_shards_leased_total counter
+checkfleet_shards_leased_total{worker="w0"} 4
+checkfleet_shards_leased_total{worker="w1"} 3
+# TYPE checkfleet_shards_completed_total counter
+checkfleet_shards_completed_total 6
+# TYPE checkfleet_shards_expired_total counter
+checkfleet_shards_expired_total 1
+# TYPE checkfleet_runs_requeued_total counter
+checkfleet_runs_requeued_total 5
+`
+
+// exploreExposition carries two strategies' explore series, one of which
+// fired directed preemptions, and a strategy that never ran.
+const exploreExposition = `# TYPE checkfarm_explore_runs_total counter
+checkfarm_explore_runs_total{strategy="race-directed"} 12
+checkfarm_explore_runs_total{strategy="uniform"} 40
+checkfarm_explore_runs_total{strategy="pct"} 0
+# TYPE checkfarm_explore_divergences_total counter
+checkfarm_explore_divergences_total{strategy="race-directed"} 2
+checkfarm_explore_divergences_total{strategy="uniform"} 0
+# TYPE checkfarm_explore_distinct_outcomes_total counter
+checkfarm_explore_distinct_outcomes_total{strategy="race-directed"} 7
+checkfarm_explore_distinct_outcomes_total{strategy="uniform"} 1
+# TYPE checkfarm_explore_hint_preemptions_total counter
+checkfarm_explore_hint_preemptions_total{strategy="race-directed"} 9
+checkfarm_explore_hint_preemptions_total{strategy="uniform"} 0
+`
+
 // TestRemoteStatsRendering drives the stats verb against a fake daemon and
 // checks the health header, counter lines, label rendering and histogram
 // folding.
@@ -103,18 +136,6 @@ func TestRemoteStatsRendering(t *testing.T) {
 // summary line (per-worker lease counters folded to a total); a non-fleet
 // daemon's never shows it.
 func TestRemoteStatsFleetLine(t *testing.T) {
-	fleetExposition := statsExposition + `# TYPE checkfleet_workers_live gauge
-checkfleet_workers_live 3
-# TYPE checkfleet_shards_leased_total counter
-checkfleet_shards_leased_total{worker="w0"} 4
-checkfleet_shards_leased_total{worker="w1"} 3
-# TYPE checkfleet_shards_completed_total counter
-checkfleet_shards_completed_total 6
-# TYPE checkfleet_shards_expired_total counter
-checkfleet_shards_expired_total 1
-# TYPE checkfleet_runs_requeued_total counter
-checkfleet_runs_requeued_total 5
-`
 	c := statsDaemon(t, fleetExposition)
 	var out bytes.Buffer
 	if err := remoteStats(context.Background(), c, nil, &out); err != nil {
@@ -187,5 +208,33 @@ func TestRemoteStatsLiveDaemon(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRemoteStatsGolden pins the whole rendering byte for byte — header,
+// every summary line and the aligned sample listing — over the stats,
+// fleet and explore fixtures. The daemon's httptest URL is replaced by a
+// fixed placeholder. The golden regenerates with:
+// go test ./cmd/instantcheck -run RemoteStatsGolden -update
+func TestRemoteStatsGolden(t *testing.T) {
+	c := statsDaemon(t, fleetExposition+exploreExposition)
+	var out bytes.Buffer
+	if err := remoteStats(context.Background(), c, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.ReplaceAll(out.String(), c.BaseURL, "http://checkd")
+
+	golden := filepath.Join("testdata", "remote_stats.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("remote stats drifted from golden file %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -247,5 +248,81 @@ func TestCancelQueuedEndJobFailureSurfaced(t *testing.T) {
 	}
 	if !logs.contains("recording cancellation failed") {
 		t.Errorf("lost cancellation record was not logged: %v", logs.lines)
+	}
+}
+
+// goldenJobs are the campaigns behind the /metrics golden: a check job
+// under an incremental and under the traversal scheme, and a race-directed
+// explore job whose harvest and directed runs carry access-event listeners.
+var goldenJobs = []JobSpec{
+	{App: "fft", Scheme: "hwinc", Runs: 3, Threads: 4, Small: true},
+	{App: "fft", Scheme: "swtr", Runs: 3, Threads: 4, Small: true},
+	{App: "waterSP", Kind: "explore", Strategy: "race-directed", Bug: "atomicity",
+		Runs: 4, Threads: 4, InputSeed: 1, RoundFP: true, Small: true},
+}
+
+// timingSample reports an exposition sample line whose value depends on
+// wall time: histogram buckets and sums of the latency families, and the
+// uptime gauge. Their HELP and TYPE lines, and the _count samples, stay.
+func timingSample(line string) bool {
+	if strings.HasPrefix(line, "#") {
+		return false
+	}
+	name, _, _ := strings.Cut(line, "{")
+	name, _, _ = strings.Cut(name, " ")
+	return strings.HasSuffix(name, "_seconds_bucket") || strings.HasSuffix(name, "_seconds_sum") ||
+		name == "checkfarm_uptime_seconds"
+}
+
+// TestMetricsGolden pins the farm's /metrics exposition byte for byte: a
+// fresh daemon's scrape, then the scrape after goldenJobs, with the
+// timing-dependent samples dropped. Every family's name, help text, type
+// and label set, and every count the runs contribute, must stay put.
+func TestMetricsGolden(t *testing.T) {
+	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 2})
+	var got strings.Builder
+	scrape := func(title string) {
+		t.Helper()
+		text, err := c.MetricsText(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "## %s\n", title)
+		for _, line := range strings.SplitAfter(text, "\n") {
+			if !timingSample(line) {
+				got.WriteString(line)
+			}
+		}
+	}
+	scrape("fresh daemon")
+	for _, spec := range goldenJobs {
+		job, err := c.Submit(bg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job = waitDone(t, c, job.ID); job.State != JobDone {
+			t.Fatalf("%s %s job finished as %s: %s", spec.App, spec.Kind, job.State, job.Error)
+		}
+	}
+	scrape("after fft hwinc, fft swtr and a waterSP race-directed explore job")
+
+	golden := filepath.Join("testdata", "farm_metrics.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("/metrics drifted from %s at line %d:\n got  %q\n want %q\nfull scrape:\n%s",
+				golden, i+1, g, w, got.String())
+		}
 	}
 }
