@@ -5,6 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,15 +68,8 @@ func remoteStats(ctx context.Context, c *farm.Client, args []string, w io.Writer
 // against the volume full sweeps would have visited. Empty when the daemon
 // has run no delta checkpoints yet.
 func deltaRatioLine(samples []obs.Sample) string {
-	var dirty, live float64
-	for _, s := range samples {
-		switch s.Name {
-		case "instantcheck_traverse_dirty_pages_total":
-			dirty = s.Value
-		case "instantcheck_traverse_live_pages_total":
-			live = s.Value
-		}
-	}
+	dirty := obs.Sum(samples, "instantcheck_traverse_dirty_pages_total")
+	live := obs.Sum(samples, "instantcheck_traverse_live_pages_total")
 	if live <= 0 {
 		return ""
 	}
@@ -86,20 +81,11 @@ func deltaRatioLine(samples []obs.Sample) string {
 // the incremental schemes absorbed into pending buffer entries against the
 // word updates that reached the hash kernel at drain time, across however
 // many flushes. Empty before any buffered run has drained (buffer off, or a
-// traversal-only daemon). Per-scheme series fold to a daemon-wide total,
-// like fleetLine's leased shards.
+// traversal-only daemon). Per-scheme series fold to a daemon-wide total.
 func coalesceLine(samples []obs.Sample) string {
-	var flushes, drained, coalesced float64
-	for _, s := range samples {
-		switch s.Name {
-		case "instantcheck_storebuffer_flushes_total":
-			flushes += s.Value
-		case "instantcheck_storebuffer_drained_words_total":
-			drained += s.Value
-		case "instantcheck_storebuffer_coalesced_total":
-			coalesced += s.Value
-		}
-	}
+	flushes := obs.Sum(samples, "instantcheck_storebuffer_flushes_total")
+	drained := obs.Sum(samples, "instantcheck_storebuffer_drained_words_total")
+	coalesced := obs.Sum(samples, "instantcheck_storebuffer_coalesced_total")
 	if flushes <= 0 {
 		return ""
 	}
@@ -109,99 +95,52 @@ func coalesceLine(samples []obs.Sample) string {
 }
 
 // fleetLine summarizes a fleet-mode daemon: live workers, shard traffic and
-// how much re-dispatch the campaign needed. Empty on a non-fleet daemon
-// (the checkfleet families are absent) or before any worker has leased.
+// how much re-dispatch the campaign needed. Per-worker lease series fold to
+// a fleet total. Empty on a non-fleet daemon (the checkfleet families are
+// absent) or before any worker has leased.
 func fleetLine(samples []obs.Sample) string {
-	var workers, leased, completed, expired, requeued float64
-	seen := false
-	for _, s := range samples {
-		switch s.Name {
-		case "checkfleet_workers_live":
-			workers, seen = s.Value, true
-		case "checkfleet_shards_leased_total":
-			leased += s.Value // per-worker series; fold to a fleet total
-		case "checkfleet_shards_completed_total":
-			completed = s.Value
-		case "checkfleet_shards_expired_total":
-			expired = s.Value
-		case "checkfleet_runs_requeued_total":
-			requeued = s.Value
-		}
-	}
-	if !seen || leased == 0 {
+	leased := obs.Sum(samples, "checkfleet_shards_leased_total")
+	if leased == 0 {
 		return ""
 	}
 	return fmt.Sprintf("fleet: %s worker(s) live, shards %s leased / %s completed / %s expired, %s run(s) re-queued",
-		formatMetric(workers), formatMetric(leased), formatMetric(completed),
-		formatMetric(expired), formatMetric(requeued))
+		formatMetric(obs.Sum(samples, "checkfleet_workers_live")), formatMetric(leased),
+		formatMetric(obs.Sum(samples, "checkfleet_shards_completed_total")),
+		formatMetric(obs.Sum(samples, "checkfleet_shards_expired_total")),
+		formatMetric(obs.Sum(samples, "checkfleet_runs_requeued_total")))
 }
 
-// detectionLine summarizes detection-run traffic: how many runs carried a
-// race-detector listener and the access-event volume those listeners
-// consumed. Empty before any detection run has executed.
+// detectionLine summarizes detection-run traffic: how many runs carried an
+// access-event listener and the event volume those listeners consumed.
+// Empty before any such run has executed.
 func detectionLine(samples []obs.Sample) string {
-	var runs, reads, writes float64
-	for _, s := range samples {
-		switch s.Name {
-		case "checkfarm_detection_runs_total":
-			runs = s.Value
-		case "instantcheck_detection_events_total":
-			switch s.Labels["kind"] {
-			case "read":
-				reads += s.Value
-			case "write":
-				writes += s.Value
-			}
-		}
-	}
+	runs := obs.Sum(samples, "checkfarm_detection_runs_total")
 	if runs <= 0 {
 		return ""
 	}
+	events := obs.SumBy(samples, "instantcheck_detection_events_total", "kind")
 	return fmt.Sprintf("detection: %s run(s), %s read / %s write events observed",
-		formatMetric(runs), formatMetric(reads), formatMetric(writes))
+		formatMetric(runs), formatMetric(events["read"]), formatMetric(events["write"]))
 }
 
 // exploreLines summarizes exploration traffic per strategy: schedules
 // executed, campaigns that found a divergence, coverage and directed
 // preemptions. Empty before any explore job has run.
 func exploreLines(samples []obs.Sample) []string {
-	type agg struct{ runs, div, distinct, hits float64 }
-	byStrategy := map[string]*agg{}
-	get := func(s obs.Sample) *agg {
-		name := s.Labels["strategy"]
-		a := byStrategy[name]
-		if a == nil {
-			a = &agg{}
-			byStrategy[name] = a
-		}
-		return a
-	}
-	for _, s := range samples {
-		switch s.Name {
-		case "checkfarm_explore_runs_total":
-			get(s).runs = s.Value
-		case "checkfarm_explore_divergences_total":
-			get(s).div = s.Value
-		case "checkfarm_explore_distinct_outcomes_total":
-			get(s).distinct = s.Value
-		case "checkfarm_explore_hint_preemptions_total":
-			get(s).hits = s.Value
-		}
-	}
-	names := make([]string, 0, len(byStrategy))
-	for name, a := range byStrategy {
-		if a.runs > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
+	fold := func(name string) map[string]float64 { return obs.SumBy(samples, name, "strategy") }
+	runs := fold("checkfarm_explore_runs_total")
+	div := fold("checkfarm_explore_divergences_total")
+	distinct := fold("checkfarm_explore_distinct_outcomes_total")
+	hits := fold("checkfarm_explore_hint_preemptions_total")
 	var out []string
-	for _, name := range names {
-		a := byStrategy[name]
+	for _, name := range slices.Sorted(maps.Keys(runs)) {
+		if runs[name] <= 0 {
+			continue
+		}
 		line := fmt.Sprintf("explore[%s]: %s run(s), %s divergence(s) found, %s distinct outcomes",
-			name, formatMetric(a.runs), formatMetric(a.div), formatMetric(a.distinct))
-		if a.hits > 0 {
-			line += fmt.Sprintf(", %s directed preemptions", formatMetric(a.hits))
+			name, formatMetric(runs[name]), formatMetric(div[name]), formatMetric(distinct[name]))
+		if hits[name] > 0 {
+			line += fmt.Sprintf(", %s directed preemptions", formatMetric(hits[name]))
 		}
 		out = append(out, line)
 	}

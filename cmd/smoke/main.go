@@ -290,15 +290,13 @@ func exploreScenario(ctx context.Context, bin, dir string) error {
 	if err != nil {
 		return fmt.Errorf("post-search scrape: %w", err)
 	}
-	byStrategy := map[string]float64{} // keyed "name strategy"
-	for _, s := range samples {
-		byStrategy[s.Name+" "+s.Label("strategy")] = s.Value
-	}
+	runs := obs.SumBy(samples, "checkfarm_explore_runs_total", "strategy")
+	divergences := obs.SumBy(samples, "checkfarm_explore_divergences_total", "strategy")
 	for _, spec := range exploreJobs {
-		if byStrategy["checkfarm_explore_runs_total "+spec.Strategy] == 0 {
+		if runs[spec.Strategy] == 0 {
 			return fmt.Errorf("scrape has no checkfarm_explore_runs_total{strategy=%q}", spec.Strategy)
 		}
-		if byStrategy["checkfarm_explore_divergences_total "+spec.Strategy] == 0 {
+		if divergences[spec.Strategy] == 0 {
 			return fmt.Errorf("scrape counts no divergence for strategy %q", spec.Strategy)
 		}
 	}

@@ -66,7 +66,7 @@ func (d localDispatcher) Dispatch(ctx context.Context, id JobID, spec JobSpec, r
 				replayStart := time.Now()
 				res, err := runner.Replay(run)
 				if err == nil {
-					d.m.observeRun(camp.Scheme, run, res, time.Since(replayStart))
+					d.m.observeRun(camp.Scheme, res, time.Since(replayStart))
 					err = deliver(run, res)
 				}
 				if err != nil {
@@ -125,8 +125,8 @@ func PlanShards(need []int, size int) [][]int {
 // onRun is called once per newly executed run, from at most one goroutine
 // at a time per run but concurrently across runs; the store's AppendRun is
 // the intended sink. progress is called after every finished run. m (nil
-// allowed) receives per-run hash-path metrics, sharded by run index so the
-// concurrent workers never contend. disp nil selects the local pool.
+// allowed) receives the runCounters of every run executed in this process.
+// disp nil selects the local pool.
 func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metrics, disp Dispatcher,
 	onRun func(run int, res *sim.Result) error,
 	progress func(done, total int)) (*Report, *core.Report, error) {
@@ -175,7 +175,7 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 	if err != nil {
 		return nil, nil, err
 	}
-	m.observeRun(camp.Scheme, 0, first, time.Since(recordStart))
+	m.observeRun(camp.Scheme, first, time.Since(recordStart))
 	if results[0] != nil {
 		if err := sameVector(results[0], first); err != nil {
 			return nil, nil, fmt.Errorf("farm: stored hash log disagrees with re-recorded run 1: %w", err)

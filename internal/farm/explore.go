@@ -54,9 +54,7 @@ func runExploreJob(ctx context.Context, id JobID, spec JobSpec, store *Store, m 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			now := time.Now()
-			m.observeRun(camp.Scheme, run, res, now.Sub(runStart))
-			runStart = now
+			m.observeRun(camp.Scheme, res, time.Since(runStart))
 			m.observeExploreRun(label)
 			if store != nil {
 				if err := store.AppendRun(id, run, res); err != nil {
@@ -66,6 +64,9 @@ func runExploreJob(ctx context.Context, id JobID, spec JobSpec, store *Store, m 
 			if progress != nil {
 				progress(run+1, budget)
 			}
+			// The next run's clock starts here, so the append and the
+			// progress report above are not charged to it.
+			runStart = time.Now()
 			return nil
 		})
 	if err != nil {

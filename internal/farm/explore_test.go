@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"instantcheck/internal/explore"
+	"instantcheck/internal/obs"
 	"instantcheck/internal/racefilter"
 )
 
@@ -100,6 +102,35 @@ func TestExploreJobEndToEnd(t *testing.T) {
 		if !strings.Contains(exp, want) {
 			t.Errorf("metrics exposition missing %s", want)
 		}
+	}
+
+	// Every race-directed run carries an access-event listener: the
+	// detector on harvest runs, the race director on directed runs.
+	samples, err := obs.ParseExposition(strings.NewReader(exp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Sum(samples, "checkfarm_detection_runs_total"); got != float64(out.Runs) {
+		t.Errorf("checkfarm_detection_runs_total = %v, want the %d executed runs", got, out.Runs)
+	}
+}
+
+// TestExploreRunDurationExcludesBookkeeping: an explore run's duration
+// sample ends with the run. The store append and the progress report that
+// follow it must not be charged to the next run.
+func TestExploreRunDurationExcludesBookkeeping(t *testing.T) {
+	m := newMetrics(obs.NewRegistry())
+	spec := JobSpec{App: "fft", Kind: "explore", Strategy: "uniform", Runs: 5, Threads: 4, Small: true}
+	const pause = 20 * time.Millisecond
+	rep, err := runExploreJob(bg, "explore-1", spec, nil, m, func(done, total int) { time.Sleep(pause) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 5 || m.runDuration.Count() != 5 {
+		t.Fatalf("executed %d runs, observed %d durations; want 5 each", rep.Runs, m.runDuration.Count())
+	}
+	if sum := m.runDuration.Sum(); sum >= 4*pause.Seconds() {
+		t.Errorf("run durations sum to %.3fs, at least the 4 progress pauses between runs (%v each)", sum, pause)
 	}
 }
 

@@ -7,32 +7,36 @@ import (
 	"instantcheck/internal/sim"
 )
 
-// Metrics is the farm's instrument panel: every counter the daemon exports
-// at /metrics. A Server always carries one (the counters are single atomic
-// words, cheap enough to maintain unconditionally); wiring a registry only
+// Metrics is the farm's instrument panel: every series the daemon exports
+// at /metrics. A Server always carries one (a series is one atomic word,
+// cheap enough to maintain unconditionally); wiring a registry only
 // controls whether they are scrapeable.
 //
-// Two rules keep the PR 3 performance wins intact:
-//
-//   - nothing on the simulator's per-access path touches these metrics. The
-//     hash-path series are flushed once per finished run from the run's
-//     sim.Counters, whose own fast-path accounting is derived (misses
-//     counted on the slow path only, hits by subtraction);
-//   - counters flushed concurrently by run workers are sharded (obs.Sharded
-//     / obs.ShardedCounterVec) and aggregated at scrape time, so a farm at
-//     full parallelism never serializes on a metrics cache line.
+// Nothing on the simulator's per-access path touches these metrics. The
+// per-run counters are declared once, in runCounters, and flushed once per
+// finished run from the run's sim.Result, whose own fast-path accounting
+// is derived (misses counted on the slow path only, hits by subtraction).
+// They count only runs this daemon simulated: a fleet coordinator records
+// each campaign's first run itself, and its workers replay the rest.
 type Metrics struct {
 	// Job lifecycle.
 	jobsSubmitted *obs.Counter
 	jobsResumed   *obs.Counter
 	jobsFinished  *obs.CounterVec // state = done | failed | canceled
-	jobsRunning   *obs.Gauge
 	jobDuration   *obs.Histogram
 
-	// Run execution.
-	runsExecuted *obs.ShardedCounter
+	// Run execution. perRun holds the runCounters families in table
+	// order, each returning the counter for a scheme label (ignored when
+	// unlabeled).
+	perRun       []func(scheme string) *obs.Counter
 	runsRestored *obs.Counter
 	runDuration  *obs.Histogram
+
+	// Access events delivered to attached listeners, by kind = read |
+	// write. Labeled by access kind rather than scheme, and created by
+	// the first run that carried a listener, so it is not a runCounters
+	// row.
+	detectionEvents *obs.CounterVec
 
 	// Store (append-only hash log).
 	storeAppends     *obs.Counter
@@ -40,65 +44,92 @@ type Metrics struct {
 	storeAppendSecs  *obs.Histogram
 	storeErrors      *obs.CounterVec // op = append | jobend
 
-	// Hash path, per scheme (paper names as label values).
-	stores          *obs.CounterVec // sharded
-	storesHashed    *obs.CounterVec // sharded
-	checkpoints     *obs.CounterVec // sharded
-	checkpointWords *obs.CounterVec // sharded
-	fastwinHits     *obs.ShardedCounter
-	fastwinMisses   *obs.ShardedCounter
-	travRunsHashed  *obs.ShardedCounter
-	travSharded     *obs.ShardedCounter
-	travFullSweeps  *obs.ShardedCounter
-	travDeltaSweeps *obs.ShardedCounter
-	travDirtyPages  *obs.ShardedCounter
-	travLivePages   *obs.ShardedCounter
-
-	// Store-buffer batching (per-thread coalescing in the incremental
-	// schemes), per scheme.
-	sbufFlushes   *obs.CounterVec // sharded
-	sbufDrained   *obs.CounterVec // sharded
-	sbufCoalesced *obs.CounterVec // sharded
-
-	// Detection runs (a race-detector EventListener attached): how many
-	// runs paid per-access event dispatch, and how many access events the
-	// listeners consumed, by kind.
-	detectionRuns   *obs.ShardedCounter
-	detectionEvents *obs.CounterVec // sharded; kind = read | write
-
-	// Exploration (explore jobs), per strategy. Explore runs are
-	// sequential within a job (strategies learn run to run), so plain
-	// vectors suffice.
+	// Exploration (explore jobs), per strategy.
 	exploreRuns        *obs.CounterVec
 	exploreDivergences *obs.CounterVec
 	exploreDistinct    *obs.CounterVec
 	exploreHints       *obs.CounterVec
 }
 
-// metricShards is the shard count for counters bumped by concurrent run
-// workers. Runs index into shards by run number, so any parallelism up to
-// this bound is contention-free.
-const metricShards = 32
+// runCounter declares one per-run counter family: its name, its help text,
+// whether its series are labeled by the run's hashing scheme (paper names
+// as label values), and the amount one finished run adds.
+type runCounter struct {
+	name, help string
+	byScheme   bool
+	value      func(*sim.Result) uint64
+}
+
+// runCounters declares every per-run counter except the access-event
+// counts (see Metrics.detectionEvents). Unlabeled rows exist from
+// registration on, so a fresh daemon shows them at zero; a scheme-labeled
+// series appears with the first run under that scheme.
+var runCounters = []runCounter{
+	{"checkfarm_runs_executed_total", "Simulated runs executed (including re-recorded run 1 on resume).", false,
+		func(*sim.Result) uint64 { return 1 }},
+	{"checkfarm_detection_runs_total", "Runs executed with an access-event listener attached (detector harvest runs and race-directed runs).", false,
+		func(r *sim.Result) uint64 {
+			if r.Counters.EventReads+r.Counters.EventWrites > 0 {
+				return 1
+			}
+			return 0
+		}},
+	{"instantcheck_stores_total", "Data stores executed by checked runs, by hashing scheme.", true,
+		func(r *sim.Result) uint64 { return r.Counters.Stores }},
+	{"instantcheck_stores_hashed_total", "Stores hashed on the fly by the incremental schemes.", true,
+		func(r *sim.Result) uint64 { return r.MHMStats.HashedStores }},
+	{"instantcheck_checkpoints_total", "Determinism-checking points captured, by hashing scheme.", true,
+		func(r *sim.Result) uint64 { return r.Counters.Checkpoints }},
+	{"instantcheck_checkpoint_words_total", "Live words in the hashed state summed over checkpoints, by scheme.", true,
+		func(r *sim.Result) uint64 { return r.Counters.CheckpointWords }},
+	{"instantcheck_fastwindow_hits_total", "Memory accesses resolved by the inline fast window (derived: accesses minus slow-path entries).", false,
+		func(r *sim.Result) uint64 {
+			c := &r.Counters
+			accesses, misses := c.Loads+c.Stores, c.FastLoadMisses+c.FastStoreMisses
+			if accesses < misses { // misses include checker-internal zeroing stores
+				return 0
+			}
+			return accesses - misses
+		}},
+	{"instantcheck_fastwindow_misses_total", "Memory accesses that fell through to the slow path.", false,
+		func(r *sim.Result) uint64 { return r.Counters.FastLoadMisses + r.Counters.FastStoreMisses }},
+	{"instantcheck_traverse_runs_hashed_total", "Page-bounded runs hashed by the traversal scheme's checkpoint sweeps.", false,
+		func(r *sim.Result) uint64 { return r.Counters.TraverseRunsHashed }},
+	{"instantcheck_traverse_sharded_sweeps_total", "Checkpoint sweeps that fanned out across goroutine shards.", false,
+		func(r *sim.Result) uint64 { return r.Counters.TraverseShardedSweeps }},
+	{"instantcheck_traverse_full_sweeps_total", "Traversal checkpoints that swept every live run (seeding sweeps in delta mode; every sweep with delta off).", false,
+		func(r *sim.Result) uint64 { return r.Counters.TraverseFullSweeps }},
+	{"instantcheck_traverse_delta_sweeps_total", "Traversal checkpoints served by dirty-page delta hashing.", false,
+		func(r *sim.Result) uint64 { return r.Counters.TraverseDeltaSweeps }},
+	{"instantcheck_traverse_dirty_pages_total", "Pages rehashed by delta sweeps (the work delta checkpoints actually did).", false,
+		func(r *sim.Result) uint64 { return r.Counters.TraverseDirtyPages }},
+	{"instantcheck_traverse_live_pages_total", "Per-page cache size sampled at each delta sweep (the work a full sweep would have done).", false,
+		func(r *sim.Result) uint64 { return r.Counters.TraverseLivePages }},
+	{"instantcheck_storebuffer_flushes_total", "Store-buffer drains through the scattered-batch hash kernel, by scheme.", true,
+		func(r *sim.Result) uint64 { return r.Counters.StoreBufferFlushes }},
+	{"instantcheck_storebuffer_drained_words_total", "Coalesced word updates hashed at drain time, by scheme.", true,
+		func(r *sim.Result) uint64 { return r.Counters.StoreBufferDrainedWords }},
+	{"instantcheck_storebuffer_coalesced_total", "Stores absorbed into a pending buffer entry instead of being hashed, by scheme.", true,
+		func(r *sim.Result) uint64 { return r.Counters.StoreBufferCoalesced }},
+}
 
 // newMetrics registers the farm's metric families on reg.
 func newMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		jobsSubmitted: reg.Counter("checkfarm_jobs_submitted_total",
 			"Campaigns accepted by this daemon process."),
 		jobsResumed: reg.Counter("checkfarm_jobs_resumed_total",
 			"Unfinished campaigns re-queued from the store at startup."),
 		jobsFinished: reg.CounterVec("checkfarm_jobs_finished_total",
 			"Jobs reaching a terminal state, by state.", "state"),
-		jobsRunning: reg.Gauge("checkfarm_jobs_running",
-			"Jobs currently executing on the worker pool."),
 		jobDuration: reg.Histogram("checkfarm_job_duration_seconds",
 			"Wall time from job start to terminal state.", nil),
-		runsExecuted: reg.Sharded("checkfarm_runs_executed_total",
-			"Simulated runs executed (including re-recorded run 1 on resume).", metricShards),
 		runsRestored: reg.Counter("checkfarm_runs_restored_total",
 			"Runs resurrected from committed store records instead of re-executing."),
 		runDuration: reg.Histogram("checkfarm_run_duration_seconds",
 			"Wall time of one simulated run.", nil),
+		detectionEvents: reg.CounterVec("instantcheck_detection_events_total",
+			"Access events delivered to attached race detectors, by access kind.", "kind"),
 		storeAppends: reg.Counter("checkfarm_store_appends_total",
 			"Record batches appended to the hash-log store."),
 		storeAppendBytes: reg.Counter("checkfarm_store_append_bytes_total",
@@ -107,40 +138,6 @@ func newMetrics(reg *obs.Registry) *Metrics {
 			"Latency of one durable append (write + flush + fsync).", nil),
 		storeErrors: reg.CounterVec("checkfarm_store_errors_total",
 			"Failed store writes, by operation.", "op"),
-		stores: reg.ShardedCounterVec("instantcheck_stores_total",
-			"Data stores executed by checked runs, by hashing scheme.", "scheme", metricShards),
-		storesHashed: reg.ShardedCounterVec("instantcheck_stores_hashed_total",
-			"Stores hashed on the fly by the incremental schemes.", "scheme", metricShards),
-		checkpoints: reg.ShardedCounterVec("instantcheck_checkpoints_total",
-			"Determinism-checking points captured, by hashing scheme.", "scheme", metricShards),
-		checkpointWords: reg.ShardedCounterVec("instantcheck_checkpoint_words_total",
-			"Live words in the hashed state summed over checkpoints, by scheme.", "scheme", metricShards),
-		fastwinHits: reg.Sharded("instantcheck_fastwindow_hits_total",
-			"Memory accesses resolved by the inline fast window (derived: accesses minus slow-path entries).", metricShards),
-		fastwinMisses: reg.Sharded("instantcheck_fastwindow_misses_total",
-			"Memory accesses that fell through to the slow path.", metricShards),
-		travRunsHashed: reg.Sharded("instantcheck_traverse_runs_hashed_total",
-			"Page-bounded runs hashed by the traversal scheme's checkpoint sweeps.", metricShards),
-		travSharded: reg.Sharded("instantcheck_traverse_sharded_sweeps_total",
-			"Checkpoint sweeps that fanned out across goroutine shards.", metricShards),
-		travFullSweeps: reg.Sharded("instantcheck_traverse_full_sweeps_total",
-			"Traversal checkpoints that swept every live run (seeding sweeps in delta mode; every sweep with delta off).", metricShards),
-		travDeltaSweeps: reg.Sharded("instantcheck_traverse_delta_sweeps_total",
-			"Traversal checkpoints served by dirty-page delta hashing.", metricShards),
-		travDirtyPages: reg.Sharded("instantcheck_traverse_dirty_pages_total",
-			"Pages rehashed by delta sweeps (the work delta checkpoints actually did).", metricShards),
-		travLivePages: reg.Sharded("instantcheck_traverse_live_pages_total",
-			"Per-page cache size sampled at each delta sweep (the work a full sweep would have done).", metricShards),
-		sbufFlushes: reg.ShardedCounterVec("instantcheck_storebuffer_flushes_total",
-			"Store-buffer drains through the scattered-batch hash kernel, by scheme.", "scheme", metricShards),
-		sbufDrained: reg.ShardedCounterVec("instantcheck_storebuffer_drained_words_total",
-			"Coalesced word updates hashed at drain time, by scheme.", "scheme", metricShards),
-		sbufCoalesced: reg.ShardedCounterVec("instantcheck_storebuffer_coalesced_total",
-			"Stores absorbed into a pending buffer entry instead of being hashed, by scheme.", "scheme", metricShards),
-		detectionRuns: reg.Sharded("checkfarm_detection_runs_total",
-			"Runs executed with a race-detector event listener attached (explore-job harvest runs).", metricShards),
-		detectionEvents: reg.ShardedCounterVec("instantcheck_detection_events_total",
-			"Access events delivered to attached race detectors, by access kind.", "kind", metricShards),
 		exploreRuns: reg.CounterVec("checkfarm_explore_runs_total",
 			"Schedules executed by explore jobs, by strategy.", "strategy"),
 		exploreDivergences: reg.CounterVec("checkfarm_explore_divergences_total",
@@ -150,6 +147,15 @@ func newMetrics(reg *obs.Registry) *Metrics {
 		exploreHints: reg.CounterVec("checkfarm_explore_hint_preemptions_total",
 			"Directed preemptions fired at hinted racy sites, by strategy.", "strategy"),
 	}
+	for _, rc := range runCounters {
+		if rc.byScheme {
+			m.perRun = append(m.perRun, reg.CounterVec(rc.name, rc.help, "scheme").With)
+			continue
+		}
+		c := reg.Counter(rc.name, rc.help)
+		m.perRun = append(m.perRun, func(string) *obs.Counter { return c })
+	}
+	return m
 }
 
 // observeExploreRun counts one executed exploration schedule.
@@ -172,43 +178,20 @@ func (m *Metrics) observeExplore(out *ExploreOutcome) {
 	m.exploreHints.With(out.Strategy).Add(uint64(out.Hits))
 }
 
-// observeRun flushes one executed run's simulator counters into the hash-
-// path series. shard spreads concurrent flushes (the run index is a natural
-// choice); the scheme's paper name becomes the label value.
-func (m *Metrics) observeRun(scheme sim.Scheme, shard int, res *sim.Result, d time.Duration) {
+// observeRun flushes one executed run's runCounters and wall time d; the
+// scheme's paper name becomes the label value.
+func (m *Metrics) observeRun(scheme sim.Scheme, res *sim.Result, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.runsExecuted.Add(shard, 1)
 	m.runDuration.Observe(d.Seconds())
-
 	label := scheme.String()
-	c := &res.Counters
-	m.stores.WithSharded(label).Add(shard, c.Stores)
-	m.storesHashed.WithSharded(label).Add(shard, res.MHMStats.HashedStores)
-	m.checkpoints.WithSharded(label).Add(shard, c.Checkpoints)
-	m.checkpointWords.WithSharded(label).Add(shard, c.CheckpointWords)
-
-	accesses := c.Loads + c.Stores
-	misses := c.FastLoadMisses + c.FastStoreMisses
-	m.fastwinMisses.Add(shard, misses)
-	if accesses > misses { // misses include checker-internal zeroing stores
-		m.fastwinHits.Add(shard, accesses-misses)
+	for i, rc := range runCounters {
+		m.perRun[i](label).Add(rc.value(res))
 	}
-	m.travRunsHashed.Add(shard, c.TraverseRunsHashed)
-	m.travSharded.Add(shard, c.TraverseShardedSweeps)
-	m.travFullSweeps.Add(shard, c.TraverseFullSweeps)
-	m.travDeltaSweeps.Add(shard, c.TraverseDeltaSweeps)
-	m.travDirtyPages.Add(shard, c.TraverseDirtyPages)
-	m.travLivePages.Add(shard, c.TraverseLivePages)
-	m.sbufFlushes.WithSharded(label).Add(shard, c.StoreBufferFlushes)
-	m.sbufDrained.WithSharded(label).Add(shard, c.StoreBufferDrainedWords)
-	m.sbufCoalesced.WithSharded(label).Add(shard, c.StoreBufferCoalesced)
-
-	if c.EventReads+c.EventWrites > 0 {
-		m.detectionRuns.Add(shard, 1)
-		m.detectionEvents.WithSharded("read").Add(shard, c.EventReads)
-		m.detectionEvents.WithSharded("write").Add(shard, c.EventWrites)
+	if c := &res.Counters; c.EventReads+c.EventWrites > 0 {
+		m.detectionEvents.With("read").Add(c.EventReads)
+		m.detectionEvents.With("write").Add(c.EventWrites)
 	}
 }
 

@@ -107,17 +107,16 @@ func NewServer(store *Store, opts Options) *Server {
 	}
 	s.metrics = newMetrics(s.reg)
 	store.setMetrics(s.metrics)
-	// The gauge counts jobs by STATE, not the length of the pending slice:
-	// the slice briefly disagrees with reality in both directions (a job
-	// canceled while queued stays in the slice until a worker pops it; a
-	// job re-queued by a shutdown interruption never re-enters it), and a
-	// daemon that Resume()d unfinished jobs must report each exactly once.
+	// The job gauges count jobs by STATE, with the helper /healthz uses,
+	// not the length of the pending slice: the slice briefly disagrees
+	// with reality in both directions (a job canceled while queued stays
+	// in the slice until a worker pops it; a job re-queued by a shutdown
+	// interruption never re-enters it), and a daemon that Resume()d
+	// unfinished jobs must report each exactly once.
+	s.reg.GaugeFunc("checkfarm_jobs_running",
+		"Jobs currently executing on the worker pool.", s.countFunc(JobRunning))
 	s.reg.GaugeFunc("checkfarm_queue_depth",
-		"Jobs queued and awaiting a worker.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.queuedLocked())
-		})
+		"Jobs queued and awaiting a worker.", s.countFunc(JobQueued))
 	s.reg.GaugeFunc("checkfarm_uptime_seconds",
 		"Seconds since this server was created.", func() float64 {
 			return time.Since(s.started).Seconds()
@@ -130,15 +129,24 @@ func NewServer(store *Store, opts Options) *Server {
 // /metrics. The daemon adds its process-level gauges here.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// queuedLocked counts jobs awaiting a worker. Caller holds s.mu.
-func (s *Server) queuedLocked() int {
+// countLocked counts jobs in the given state. Caller holds s.mu.
+func (s *Server) countLocked(state JobState) int {
 	n := 0
 	for _, job := range s.jobs {
-		if job.State == JobQueued {
+		if job.State == state {
 			n++
 		}
 	}
 	return n
+}
+
+// countFunc is countLocked as a scrape-time gauge.
+func (s *Server) countFunc(state JobState) func() float64 {
+	return func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.countLocked(state))
+	}
 }
 
 // Resume reloads jobs from the store: finished jobs reappear with their
@@ -254,8 +262,6 @@ func (s *Server) execute(ctx context.Context, job *Job) {
 	s.mu.Unlock()
 	defer cancel()
 	s.opts.Logf("farm: job %s running (%s)", job.ID, spec.App)
-	s.metrics.jobsRunning.Inc()
-	defer s.metrics.jobsRunning.Dec()
 	begun := time.Now()
 
 	progress := func(done, total int) {
@@ -441,18 +447,12 @@ type Health struct {
 func (s *Server) Health() Health {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	running := 0
-	for _, job := range s.jobs {
-		if job.State == JobRunning {
-			running++
-		}
-	}
 	return Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Jobs:          len(s.jobs),
-		Running:       running,
-		QueueDepth:    s.queuedLocked(),
+		Running:       s.countLocked(JobRunning),
+		QueueDepth:    s.countLocked(JobQueued),
 		StorePath:     s.store.Path(),
 	}
 }

@@ -144,6 +144,30 @@ type Sample struct {
 // Label returns the value of the named label ("" when absent).
 func (s Sample) Label(name string) string { return s.Labels[name] }
 
+// Sum adds the values of every sample of the named series, labels folded;
+// 0 when the series is absent.
+func Sum(samples []Sample, name string) float64 {
+	total := 0.0
+	for _, s := range samples {
+		if s.Name == name {
+			total += s.Value
+		}
+	}
+	return total
+}
+
+// SumBy adds the values of the named series per value of one label. A
+// sample without the label counts under "".
+func SumBy(samples []Sample, name, label string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, s := range samples {
+		if s.Name == name {
+			out[s.Labels[label]] += s.Value
+		}
+	}
+	return out
+}
+
 // ParseExposition reads Prometheus text exposition format into samples,
 // skipping comments. It is the reader used by `instantcheck remote stats`
 // and by the obs-smoke gate; malformed lines are errors, not skips.

@@ -1,21 +1,23 @@
 // Package obs is the reproduction's observability layer: a small,
-// stdlib-only metrics registry with atomic counters, gauges and histograms
-// and a Prometheus text-exposition exporter. The checkfarm daemon mounts a
-// registry at /metrics so that a long-running determinism-checking service
-// is not a black box: job lifecycle, queue depth, store latencies and the
-// hash-path counters of the simulator are all scrapeable.
+// stdlib-only metrics registry with atomic counters, scrape-time gauges and
+// histograms and a Prometheus text-exposition exporter. The checkfarm
+// daemon mounts a registry at /metrics so that a long-running
+// determinism-checking service is not a black box: job lifecycle, queue
+// depth, store latencies and the hash-path counters of the simulator are
+// all scrapeable.
 //
 // Design constraints, in order:
 //
 //   - zero dependencies: the repo's no-third-party-code rule applies, so the
 //     exposition format is written (and linted) by hand;
 //   - no hot-path cost: the simulator's load/store fast path must not gain a
-//     single instruction. Per-event counters are therefore accumulated in the
+//     single instruction. Per-event counts are accumulated in the
 //     simulator's existing plain (single-threaded) counters and flushed into
-//     the registry once per run; counters that concurrent run workers bump
-//     are sharded across padded cells and aggregated only at scrape time;
-//   - scrape-time aggregation: Value() and WritePrometheus fold shards and
-//     compute derived series, so readers pay, writers don't.
+//     the registry once per run, so one atomic Counter per series is enough;
+//   - one counter type: a series is a Counter (alone or in a CounterVec),
+//     a gauge computed at scrape time from the state it reports (GaugeFunc,
+//     GaugeVec), or a Histogram. Readers of a scrape fold the parsed
+//     samples with Sum and SumBy.
 package obs
 
 import (
@@ -41,66 +43,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// cell is one shard of a ShardedCounter, padded to its own cache line so
-// concurrent writers on different shards never false-share.
-type cell struct {
-	n atomic.Uint64
-	_ [7]uint64
-}
-
-// ShardedCounter is a counter for write paths hot enough that a single
-// atomic would bounce a cache line between workers. Each writer owns a
-// shard (any int hint — a worker index, a run index — is masked into
-// range); Value aggregates the shards at read time.
-type ShardedCounter struct {
-	cells []cell
-	mask  int
-}
-
-// newSharded returns a counter with at least shards cells (rounded up to a
-// power of two so Add can mask instead of mod).
-func newSharded(shards int) *ShardedCounter {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	return &ShardedCounter{cells: make([]cell, n), mask: n - 1}
-}
-
-// Add adds n to the shard selected by hint.
-func (s *ShardedCounter) Add(hint int, n uint64) {
-	s.cells[hint&s.mask].n.Add(n)
-}
-
-// Value sums all shards.
-func (s *ShardedCounter) Value() uint64 {
-	var total uint64
-	for i := range s.cells {
-		total += s.cells[i].n.Load()
-	}
-	return total
-}
 
 // Histogram counts observations into fixed buckets, Prometheus-style:
 // cumulative bucket counts plus a running sum. Observe is lock-free.
@@ -225,26 +167,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Sharded registers and returns a sharded counter with at least shards
-// cells; shards <= 0 selects a single cell.
-func (r *Registry) Sharded(name, help string, shards int) *ShardedCounter {
-	if shards <= 0 {
-		shards = 1
-	}
-	s := newSharded(shards)
-	f := r.newFamily(name, help, kindCounter)
-	f.add(&series{read: func() float64 { return float64(s.Value()) }})
-	return s
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	f := r.newFamily(name, help, kindGauge)
-	f.add(&series{read: func() float64 { return float64(g.Value()) }})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is computed at scrape time. fn
 // must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -271,8 +193,6 @@ type CounterVec struct {
 
 	mu      sync.Mutex
 	byValue map[string]*Counter
-	sharded map[string]*ShardedCounter
-	shards  int
 }
 
 // CounterVec registers a counter family partitioned by the given label.
@@ -284,19 +204,7 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 		f:       r.newFamily(name, help, kindCounter),
 		label:   label,
 		byValue: make(map[string]*Counter),
-		sharded: make(map[string]*ShardedCounter),
 	}
-}
-
-// ShardedCounterVec registers a counter family partitioned by the given
-// label whose per-value counters are sharded across at least shards cells.
-func (r *Registry) ShardedCounterVec(name, help, label string, shards int) *CounterVec {
-	v := r.CounterVec(name, help, label)
-	if shards <= 0 {
-		shards = 1
-	}
-	v.shards = shards
-	return v
 }
 
 // With returns the counter for the given label value, creating it on first
@@ -314,26 +222,6 @@ func (v *CounterVec) With(value string) *Counter {
 		})
 	}
 	return c
-}
-
-// WithSharded returns the sharded counter for the given label value (only
-// on vecs created with ShardedCounterVec).
-func (v *CounterVec) WithSharded(value string) *ShardedCounter {
-	if v.shards == 0 {
-		panic("obs: WithSharded on a non-sharded CounterVec")
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	s := v.sharded[value]
-	if s == nil {
-		s = newSharded(v.shards)
-		v.sharded[value] = s
-		v.f.add(&series{
-			labels: renderLabels(v.label, value),
-			read:   func() float64 { return float64(s.Value()) },
-		})
-	}
-	return s
 }
 
 // GaugeVec is a family of gauges distinguished by one label — the fleet's

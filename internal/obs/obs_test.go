@@ -15,18 +15,11 @@ func TestExpositionRoundTrip(t *testing.T) {
 	c := reg.Counter("test_events_total", "events seen")
 	c.Add(41)
 	c.Inc()
-	g := reg.Gauge("test_depth", "queue depth")
-	g.Set(7)
-	g.Dec()
 	reg.GaugeFunc("test_uptime_seconds", "uptime", func() float64 { return 1.5 })
 	v := reg.CounterVec("test_jobs_total", "jobs by state", "state")
 	v.With("done").Add(3)
 	v.With("failed").Inc()
 	v.With(`we"ird\state`).Inc()
-	sc := reg.Sharded("test_stores_total", "sharded stores", 8)
-	sc.Add(0, 10)
-	sc.Add(3, 5)
-	sc.Add(11, 1) // wraps into range via mask
 	h := reg.Histogram("test_latency_seconds", "latencies", []float64{0.01, 0.1, 1})
 	for _, x := range []float64{0.001, 0.05, 0.05, 0.5, 5} {
 		h.Observe(x)
@@ -50,12 +43,10 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	want := map[string]float64{
 		"test_events_total":                    42,
-		"test_depth":                           6,
 		"test_uptime_seconds":                  1.5,
 		"test_jobs_total|state=done":           3,
 		"test_jobs_total|state=failed":         1,
 		"test_jobs_total|state=we\"ird\\state": 1,
-		"test_stores_total":                    16,
 		"test_latency_seconds_bucket|le=0.01":  1,
 		"test_latency_seconds_bucket|le=0.1":   3,
 		"test_latency_seconds_bucket|le=1":     4,
@@ -72,6 +63,24 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	if sum := byID["test_latency_seconds_sum"]; math.Abs(sum-5.601) > 1e-9 {
 		t.Errorf("histogram sum = %v, want 5.601", sum)
+	}
+
+	// The sample folds: labels summed away, or kept as the map key.
+	if got := Sum(samples, "test_jobs_total"); got != 5 {
+		t.Errorf("Sum(test_jobs_total) = %v, want 5", got)
+	}
+	if got := Sum(samples, "test_events_total"); got != 42 {
+		t.Errorf("Sum(test_events_total) = %v, want 42", got)
+	}
+	if got := Sum(samples, "test_absent_total"); got != 0 {
+		t.Errorf("Sum of an absent series = %v, want 0", got)
+	}
+	byState := SumBy(samples, "test_jobs_total", "state")
+	if len(byState) != 3 || byState["done"] != 3 || byState["failed"] != 1 || byState[`we"ird\state`] != 1 {
+		t.Errorf("SumBy(test_jobs_total, state) = %v", byState)
+	}
+	if got := SumBy(samples, "test_events_total", "state"); len(got) != 1 || got[""] != 42 {
+		t.Errorf("SumBy of an unlabeled series = %v, want {\"\": 42}", got)
 	}
 }
 
@@ -100,8 +109,6 @@ func TestHandler(t *testing.T) {
 func TestConcurrentWriters(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
-	g := reg.Gauge("g", "")
-	sc := reg.Sharded("s_total", "", 16)
 	h := reg.Histogram("h_seconds", "", []float64{1})
 	v := reg.CounterVec("v_total", "", "k")
 
@@ -109,16 +116,14 @@ func TestConcurrentWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				sc.Add(w, 2)
 				h.Observe(0.5)
 				v.With("x").Inc()
 			}
-		}(w)
+		}()
 	}
 	done := make(chan struct{})
 	go func() { // concurrent scrapes while writers run
@@ -132,9 +137,6 @@ func TestConcurrentWriters(t *testing.T) {
 	<-done
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d", c.Value())
-	}
-	if sc.Value() != workers*per*2 {
-		t.Errorf("sharded = %d", sc.Value())
 	}
 	if h.Count() != workers*per || h.Sum() != workers*per*0.5 {
 		t.Errorf("histogram = %d / %v", h.Count(), h.Sum())
