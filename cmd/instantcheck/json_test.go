@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,4 +63,57 @@ func TestTable1JSONGolden(t *testing.T) {
 	if !decoded[0].DetAsIs || decoded[1].DetAsIs {
 		t.Errorf("fft should be det as-is and barnes not: %+v", decoded)
 	}
+}
+
+// TestAllSmallJSONGolden pins `instantcheck all -small -json` at the CLI's
+// default campaign (30 runs, 8 threads, seeds 0): Table 1 for all 17
+// workloads, Table 2, the Figure 5 and 8 distribution groups and the
+// Figure 6 overhead rows. The output carries no timing, so it is byte-stable.
+// Regenerate with: go test ./cmd/instantcheck -run AllSmallJSONGolden -update
+func TestAllSmallJSONGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	got := captureStdout(t, func() error {
+		return all(instantcheck.ExperimentConfig{Runs: 30, Threads: 8, Small: true}, true)
+	})
+	golden := filepath.Join("testdata", "all_small.golden.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("`all -small -json` drifted from golden file %s:\n--- got ---\n%s\n--- want ---\n%s",
+			golden, got, want)
+	}
+}
+
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	got := <-out
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return got
 }

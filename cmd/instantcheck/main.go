@@ -87,12 +87,7 @@ func main() {
 	case "exploreeff":
 		err = exploreeff(cfg, *asJSON)
 	case "all":
-		for _, f := range []func(instantcheck.ExperimentConfig, bool) error{table1, table2, fig5, fig6, fig8} {
-			if err = f(cfg, *asJSON); err != nil {
-				break
-			}
-			fmt.Println()
-		}
+		err = all(cfg, *asJSON)
 	default:
 		usage()
 		os.Exit(2)
@@ -172,6 +167,17 @@ func check(name string, cfg instantcheck.ExperimentConfig) error {
 		fmt.Print(instantcheck.FormatDistributions([]instantcheck.Distribution{
 			{App: name, Groups: ndet},
 		}))
+	}
+	return nil
+}
+
+// all prints every table and figure, each followed by a blank line.
+func all(cfg instantcheck.ExperimentConfig, asJSON bool) error {
+	for _, f := range []func(instantcheck.ExperimentConfig, bool) error{table1, table2, fig5, fig6, fig8} {
+		if err := f(cfg, asJSON); err != nil {
+			return err
+		}
+		fmt.Println()
 	}
 	return nil
 }
