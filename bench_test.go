@@ -348,12 +348,11 @@ func BenchmarkRaceClassification(b *testing.B) {
 	}
 }
 
-// BenchmarkFarmThroughput compares a checking campaign executed
-// sequentially (the paper's loop: one run after another) against the
-// checkfarm's parallel worker pool on the same campaign. Runs of a
-// campaign are independent once the recording run finishes, so wall-clock
-// should shrink toward 1/Parallelism while the report stays identical —
-// the farm's run-level scaling claim.
+// BenchmarkFarmThroughput compares a checking campaign on a replay pool of
+// one (the paper's loop: one run after another) against wider pools on
+// the same campaign. Runs of a campaign are independent once the recording
+// run finishes, so wall-clock should shrink toward 1/Parallelism while the
+// report stays identical — the farm's run-level scaling claim.
 func BenchmarkFarmThroughput(b *testing.B) {
 	app := WorkloadByName("radix")
 	for _, par := range []int{1, 2, 4, 8} {

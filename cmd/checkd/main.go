@@ -122,7 +122,7 @@ func registerProcessMetrics(reg *obs.Registry) {
 func main() {
 	addr := flag.String("addr", ":8347", "HTTP listen address")
 	storePath := flag.String("store", "checkfarm.log", "path of the persistent hash-log store")
-	runWorkers := flag.Int("run-workers", runtime.GOMAXPROCS(0), "default run-level parallelism for jobs that set none")
+	runWorkers := flag.Int("run-workers", runtime.GOMAXPROCS(0), "replay runs each check job executes at once (without -fleet)")
 	jobWorkers := flag.Int("job-workers", 1, "campaigns executed concurrently")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max duration for reading one request")
 	writeTimeout := flag.Duration("write-timeout", 120*time.Second, "max duration for writing one response (covers pprof profiles)")

@@ -32,7 +32,7 @@ func remote(args []string) error {
 		fmt.Fprintln(os.Stderr, `usage: instantcheck remote [-server URL] <verb> [args]
 
 verbs:
-  submit <app> [-runs N] [-threads N] [-parallelism N] [-seed S] [-input S]
+  submit <app> [-runs N] [-threads N] [-seed S] [-input S]
                [-scheme hwinc|swinc|swinc-nonatomic|swtr] [-hasher mix64|crc64]
                [-round-fp] [-isolate] [-small] [-bug semantic|atomicity|order]
                [-interval N] [-explore]
@@ -185,7 +185,6 @@ func remoteSubmit(ctx context.Context, c *farm.Client, args []string) error {
 	fs := flag.NewFlagSet("remote submit", flag.ExitOnError)
 	runs := fs.Int("runs", 0, "test runs per campaign (daemon default 30)")
 	threads := fs.Int("threads", 0, "worker threads per run (daemon default 8)")
-	par := fs.Int("parallelism", 0, "concurrent runs (0: daemon's worker count)")
 	seed := fs.Int64("seed", 0, "base schedule seed")
 	input := fs.Int64("input", 0, "input seed for replayed library calls")
 	scheme := fs.String("scheme", "", "hashing scheme: hwinc (default), swinc, swinc-nonatomic, swtr")
@@ -216,7 +215,6 @@ func remoteSubmit(ctx context.Context, c *farm.Client, args []string) error {
 		App:            app,
 		Runs:           *runs,
 		Threads:        *threads,
-		Parallelism:    *par,
 		Seed:           *seed,
 		InputSeed:      *input,
 		Scheme:         *scheme,

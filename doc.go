@@ -35,8 +35,9 @@
 //     regions, and ignore rules that name real allocation sites (§2.2);
 //   - a determinism-checking service, cmd/checkd (internal/farm): a
 //     daemon with a job queue, a worker pool that runs a campaign's
-//     independent runs in parallel (Campaign.Parallelism uses the same
-//     machinery in-process), an append-only crash-tolerant hash-log
+//     independent runs in parallel (core's one replay pool, which
+//     Campaign.Check also runs on, Campaign.Parallelism wide; <= 1 is a
+//     pool of one), an append-only crash-tolerant hash-log
 //     store that resumes half-finished campaigns across restarts, and an
 //     HTTP API — driven by `instantcheck remote` — whose hash-log
 //     streams can be diffed across hosts;

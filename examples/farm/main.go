@@ -40,8 +40,8 @@ func main() {
 	fmt.Printf("checkd serving on %s, store %s\n\n", ln.Addr(), storePath)
 
 	// Submit two campaigns; runs execute 4-wide on the worker pool.
-	radix := submit(c, farm.JobSpec{App: "radix", Runs: 10, Threads: 4, Small: true, Parallelism: 4})
-	barnes := submit(c, farm.JobSpec{App: "barnes", Runs: 10, Threads: 4, Small: true, Parallelism: 4})
+	radix := submit(c, farm.JobSpec{App: "radix", Runs: 10, Threads: 4, Small: true})
+	barnes := submit(c, farm.JobSpec{App: "barnes", Runs: 10, Threads: 4, Small: true})
 	for _, id := range []farm.JobID{radix, barnes} {
 		job, err := c.Wait(context.Background(), id, 50*time.Millisecond)
 		check(err)

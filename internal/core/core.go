@@ -19,14 +19,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"time"
 
 	"instantcheck/internal/fpround"
 	"instantcheck/internal/ihash"
-	"instantcheck/internal/replay"
 	"instantcheck/internal/sim"
 )
 
@@ -59,13 +59,13 @@ type Campaign struct {
 	// full state capture at the first differing checkpoint, for the
 	// state-diff debugging tool (§2.3). It costs two extra runs.
 	SnapshotDifferingRuns bool
-	// Parallelism is the number of runs executed concurrently. The runs of
-	// a campaign are independent given the recording run's replay logs
-	// (§5), so the recording run executes first and alone, then up to
-	// Parallelism replay runs proceed at a time, each on a private clone of
-	// the logs. The merged report does not depend on completion order —
-	// the paper's order-independence property at run granularity. Values
-	// below 1 (including the zero value) select sequential execution.
+	// Parallelism is the width of the replay pool. The runs of a campaign
+	// are independent given the recording run's replay logs (§5), so the
+	// recording run executes first and alone, then up to Parallelism
+	// replay runs proceed at a time, each on a private clone of the logs.
+	// A replay run depends only on the recording and its run index, so the
+	// report does not depend on Parallelism. Values below 1 (including the
+	// zero value) select a pool of one.
 	Parallelism int
 }
 
@@ -221,115 +221,41 @@ func (r *Report) NDetDistGroups() []DistGroup {
 	return out
 }
 
-// Check runs the campaign and compares hashes across runs. With
-// Parallelism > 1 the replay runs execute concurrently on private clones
-// of the replay logs; the report is identical to sequential execution
-// whenever the replay runs stay within the recorded logs (which every
-// correctly record/replayed program does — log growth means a replay run
-// took a path the recording run never exercised).
+// Check runs the campaign and compares hashes across runs: the recording
+// run, then the replay runs on a pool of Parallelism workers (see
+// Runner.ReplayAll), then Assemble.
 func (c Campaign) Check(build Builder) (*Report, error) {
-	c, err := c.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if !c.Scheme.Hashing() {
-		return nil, fmt.Errorf("core: campaign scheme %v computes no hashes", c.Scheme)
-	}
-	if c.Parallelism > 1 {
-		return c.checkParallel(build)
-	}
-	addrLog := replay.NewAddrLog()
-	env := replay.NewEnv(c.InputSeed)
-	rep := &Report{Campaign: c}
-	for run := 0; run < c.Runs; run++ {
-		res, name, err := c.runOnce(build, addrLog, env, run, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: run %d: %w", run+1, err)
-		}
-		rep.Program = name
-		rep.Runs = append(rep.Runs, res)
-	}
-	c.summarize(rep)
-	if c.SnapshotDifferingRuns && rep.FirstNDetRun > 0 {
-		if err := c.captureDiff(build, rep); err != nil {
-			return nil, fmt.Errorf("core: state-diff capture: %w", err)
-		}
-	}
-	return rep, nil
-}
-
-// checkParallel is the Parallelism > 1 path of Check: one Runner, a pool
-// of replay workers, and the same merge stage as the sequential path.
-func (c Campaign) checkParallel(build Builder) (*Report, error) {
 	r, err := c.NewRunner(build)
 	if err != nil {
 		return nil, err
 	}
-	first, err := r.Record()
+	c = r.Campaign()
+	results := make([]*sim.Result, c.Runs)
+	if results[0], err = r.Record(); err != nil {
+		return nil, err
+	}
+	replays := make([]int, 0, c.Runs-1)
+	for run := 1; run < c.Runs; run++ {
+		replays = append(replays, run)
+	}
+	err = r.ReplayAll(context.TODO(), replays, c.Parallelism,
+		func(run int, res *sim.Result, _ time.Duration) error {
+			results[run] = res
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*sim.Result, c.Runs)
-	results[0] = first
-	runs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < c.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for run := range runs {
-				res, err := r.Replay(run)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				results[run] = res
-			}
-		}()
+	rep, err := c.Assemble(r.Name(), results)
+	if err != nil {
+		return nil, err
 	}
-	for run := 1; run < c.Runs; run++ {
-		runs <- run
-	}
-	close(runs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	rep := &Report{Program: r.Name(), Campaign: c, Runs: results}
-	c.summarize(rep)
 	if c.SnapshotDifferingRuns && rep.FirstNDetRun > 0 {
 		if err := c.captureDiff(build, rep); err != nil {
 			return nil, fmt.Errorf("core: state-diff capture: %w", err)
 		}
 	}
 	return rep, nil
-}
-
-func (c Campaign) runOnce(build Builder, addrLog *replay.AddrLog, env *replay.Env, run int, snapshotAt map[int]bool) (*sim.Result, string, error) {
-	prog := build()
-	m := sim.NewMachine(sim.Config{
-		Threads:        c.Threads,
-		ScheduleSeed:   c.BaseScheduleSeed + int64(run),
-		SwitchInterval: c.SwitchInterval,
-		Scheme:         c.Scheme,
-		Hasher:         c.Hasher,
-		Rounding:       c.Rounding,
-		RoundFP:        c.RoundFP,
-		AddrLog:        addrLog,
-		Env:            env,
-		Ignore:         c.Ignore,
-		SnapshotAt:     snapshotAt,
-	})
-	res, err := m.Run(prog)
-	return res, prog.Name(), err
 }
 
 func (c Campaign) summarize(rep *Report) {
@@ -401,9 +327,6 @@ func (c Campaign) summarize(rep *Report) {
 	}
 	if points > 0 {
 		rep.DetAtEnd = rep.Stats[points-1].Deterministic && !rep.ShapeMismatch
-	}
-	if rep.ShapeMismatch && rep.FirstNDetRun == 0 {
-		rep.FirstNDetRun = 2 // differing shape is itself detected immediately
 	}
 }
 

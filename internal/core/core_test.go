@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"instantcheck/internal/ihash"
 	"instantcheck/internal/mem"
 	"instantcheck/internal/sched"
 	"instantcheck/internal/sim"
@@ -64,6 +65,34 @@ func racyBuilder() Builder {
 				t.Store(w, uint64(t.TID())+1)
 				t.Compute(3)
 			}
+		}
+		return p
+	}
+}
+
+// envGrowthBuilder returns a program whose threads make a
+// schedule-dependent number of env calls: each bumps a racy counter and
+// calls Rand once more than the count it read. A replay run in which a
+// thread reads a larger count than it did in the recording run draws past
+// the recorded env stream, so its draws must come from the run's own fork
+// and not from whatever earlier runs left behind.
+func envGrowthBuilder() Builder {
+	return func() sim.Program {
+		p := &toy{nt: 2}
+		var ctr, out uint64
+		p.setup = func(t *sim.Thread) {
+			ctr = t.AllocStatic("static:ctr", 1, mem.KindWord)
+			out = t.AllocStatic("static:out", 2, mem.KindWord)
+		}
+		p.worker = func(t *sim.Thread) {
+			n := t.Load(ctr)
+			t.Compute(3)
+			t.Store(ctr, n+1)
+			var sum uint64
+			for i := uint64(0); i <= n; i++ {
+				sum += t.Rand()
+			}
+			t.Store(out+uint64(t.TID())*8, sum)
 		}
 		return p
 	}
@@ -276,30 +305,66 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-// TestDiffCapture checks the §2.3 re-execution flow produces snapshots of
-// the first differing checkpoint that actually differ at the racy word.
+// TestDiffCapture checks the §2.3 re-execution flow: it must snapshot the
+// very executions the report compared, so each snapshot, re-hashed word by
+// word, equals its run's reported raw State Hash at the captured
+// checkpoint. The racy program's snapshots must also differ at the racy
+// word. The env-growth program runs at Parallelism 2, where run B draws
+// past the recorded env stream.
 func TestDiffCapture(t *testing.T) {
-	camp := testCampaign()
-	camp.SnapshotDifferingRuns = true
-	rep, err := camp.Check(racyBuilder())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		build       func() Builder
+		parallelism int
+	}{{"racy", racyBuilder, 1}, {"env-growth", envGrowthBuilder, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			camp := testCampaign()
+			camp.SnapshotDifferingRuns = true
+			camp.Parallelism = tc.parallelism
+			rep, err := camp.Check(tc.build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := rep.DiffSnapshots
+			if d == nil {
+				t.Fatal("no capture")
+			}
+			if d.RunA != 1 || d.RunB != rep.FirstNDetRun {
+				t.Errorf("runs %d/%d", d.RunA, d.RunB)
+			}
+			if d.A == nil || d.B == nil {
+				t.Fatal("missing snapshots")
+			}
+			for _, side := range []struct {
+				run  int
+				snap *mem.Snapshot
+			}{{d.RunA, d.A}, {d.RunB, d.B}} {
+				want := rep.Runs[side.run-1].Checkpoints[d.Ordinal].RawSH
+				if got := rawSH(side.snap); got != want {
+					t.Errorf("run %d snapshot hashes to %s; the report has %s at checkpoint %d",
+						side.run, got, want, d.Ordinal)
+				}
+			}
+			if tc.name == "racy" {
+				va, _ := d.A.Word(mem.StaticBase)
+				vb, _ := d.B.Word(mem.StaticBase)
+				if va == vb {
+					t.Error("snapshots agree at the racy word; capture mis-aimed")
+				}
+			}
+		})
 	}
-	d := rep.DiffSnapshots
-	if d == nil {
-		t.Fatal("no capture")
+}
+
+// rawSH recomputes a snapshot's raw State Hash word by word from its
+// definition, Σ h(a,v) ⊖ h(a,0), with the default location hash.
+func rawSH(s *mem.Snapshot) ihash.Digest {
+	var h ihash.Hasher = ihash.Mix64{}
+	var sh ihash.Digest
+	for i, a := range s.Addrs {
+		sh = sh.Combine(h.HashWord(a, s.Vals[i]).Subtract(h.HashWord(a, 0)))
 	}
-	if d.RunA != 1 || d.RunB != rep.FirstNDetRun {
-		t.Errorf("runs %d/%d", d.RunA, d.RunB)
-	}
-	if d.A == nil || d.B == nil {
-		t.Fatal("missing snapshots")
-	}
-	va, _ := d.A.Word(mem.StaticBase)
-	vb, _ := d.B.Word(mem.StaticBase)
-	if va == vb {
-		t.Error("snapshots agree at the racy word; capture mis-aimed")
-	}
+	return sh
 }
 
 // TestNativeCampaignRejected checks the configuration guard.

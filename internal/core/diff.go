@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"instantcheck/internal/mem"
-	"instantcheck/internal/replay"
 )
 
 // DiffCapture holds the full memory states of two runs at the first
@@ -28,18 +27,16 @@ type DiffCapture struct {
 	B *mem.Snapshot
 }
 
-// captureDiff re-executes run 1 and run FirstNDetRun with the same seeds,
-// inputs and replay logs, capturing snapshots at the first checkpoint where
-// their hash vectors diverge. Re-execution is exact because the scheduler,
-// allocator and env streams are all replayed.
+// captureDiff re-executes run 1 and run FirstNDetRun through a fresh
+// Runner that snapshots the first checkpoint where their hash vectors
+// diverge. The Runner replays run B exactly as the campaign did — on its
+// own fork of the re-recorded logs — so the snapshots are of the very
+// executions the report compared.
 func (c Campaign) captureDiff(build Builder, rep *Report) error {
 	runA, runB := 0, rep.FirstNDetRun-1
 	va := rep.Runs[runA].SHVector()
 	vb := rep.Runs[runB].SHVector()
-	n := len(va)
-	if len(vb) < n {
-		n = len(vb)
-	}
+	n := min(len(va), len(vb))
 	ord := -1
 	for i := 0; i < n; i++ {
 		if va[i] != vb[i] {
@@ -55,16 +52,16 @@ func (c Campaign) captureDiff(build Builder, rep *Report) error {
 		}
 		ord = n - 1
 	}
-	snapAt := map[int]bool{ord: true}
-	// Fresh logs replayed from scratch: re-record deterministically by
-	// replaying run A first (run A is run 1, the recording run).
-	addrLog := replay.NewAddrLog()
-	env := replay.NewEnv(c.InputSeed)
-	resA, _, err := c.runOnce(build, addrLog, env, runA, snapAt)
+	r, err := c.NewRunner(build)
 	if err != nil {
 		return err
 	}
-	resB, _, err := c.runOnce(build, addrLog, env, runB, snapAt)
+	r.snapshotAt = map[int]bool{ord: true}
+	resA, err := r.Record()
+	if err != nil {
+		return err
+	}
+	resB, err := r.Replay(runB)
 	if err != nil {
 		return err
 	}

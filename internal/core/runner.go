@@ -1,25 +1,28 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"instantcheck/internal/replay"
 	"instantcheck/internal/sim"
 )
 
-// Runner exposes a campaign at run granularity, for callers that schedule
-// runs themselves (Campaign.Check's parallel path, the farm's worker
-// pool). The protocol is:
+// Runner executes a campaign at run granularity. Every check campaign runs
+// through one: Campaign.Check, the farm and the fleet's worker nodes. The
+// protocol is:
 //
 //  1. Record executes run 1 — the recording run — which populates the
 //     campaign's allocation-address log and env-call streams (§5).
 //  2. Replay executes any of runs 2..Runs, in any order and from any
 //     number of goroutines: each replay run works on a private clone of
-//     the recorded logs, so runs share no mutable state and the outcome
-//     is independent of scheduling.
+//     the recorded logs, so a replay run depends only on the recording
+//     and its run index. ReplayAll is the pool that runs a list of them.
 //  3. Campaign.Assemble merges the per-run results into a Report. The
-//     comparison is commutative over runs, so a report assembled from
-//     out-of-order parallel results is identical to a sequential one.
+//     comparison is commutative over runs, so the report does not depend
+//     on the order in which the runs finished.
 type Runner struct {
 	c        Campaign
 	build    Builder
@@ -27,6 +30,9 @@ type Runner struct {
 	env      *replay.Env
 	name     string
 	recorded bool
+	// snapshotAt selects the checkpoints at which every run captures its
+	// full state; only the state-diff capture sets it.
+	snapshotAt map[int]bool
 }
 
 // NewRunner validates the campaign and prepares its replay state. The
@@ -64,7 +70,7 @@ func (r *Runner) Record() (*sim.Result, error) {
 	if r.recorded {
 		return nil, fmt.Errorf("core: Record called twice")
 	}
-	res, name, err := r.c.runOnce(r.build, r.addrLog, r.env, 0, nil)
+	res, name, err := r.run(0, r.addrLog, r.env)
 	if err != nil {
 		return nil, fmt.Errorf("core: run 1: %w", err)
 	}
@@ -83,11 +89,87 @@ func (r *Runner) Replay(run int) (*sim.Result, error) {
 	if run < 1 || run >= r.c.Runs {
 		return nil, fmt.Errorf("core: replay run index %d out of range [1, %d)", run, r.c.Runs)
 	}
-	res, _, err := r.c.runOnce(r.build, r.addrLog.Clone(), r.env.Fork(forkSeed(r.c.InputSeed, run)), run, nil)
+	res, _, err := r.run(run, r.addrLog.Clone(), r.env.Fork(forkSeed(r.c.InputSeed, run)))
 	if err != nil {
 		return nil, fmt.Errorf("core: run %d: %w", run+1, err)
 	}
 	return res, nil
+}
+
+// ReplayAll replays runs on a pool of workers goroutines (fewer than 1
+// means one) and passes each result, with the time its run took, to
+// deliver. deliver may be called concurrently, once per run. The pool
+// starts no new run after the first error or once ctx is done, waits for
+// the runs in flight, and returns that error.
+func (r *Runner) ReplayAll(ctx context.Context, runs []int, workers int,
+	deliver func(run int, res *sim.Result, elapsed time.Duration) error) error {
+
+	workers = max(min(workers, len(runs)), 1)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		next     int
+		firstErr error
+	)
+	// take hands out the next run, or false once the list is drained or
+	// the pool has stopped.
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if firstErr == nil {
+			firstErr = ctx.Err()
+		}
+		if firstErr != nil || next == len(runs) {
+			return 0, false
+		}
+		next++
+		return runs[next-1], true
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for run, ok := take(); ok; run, ok = take() {
+				start := time.Now()
+				res, err := r.Replay(run)
+				if err == nil {
+					err = deliver(run, res, time.Since(start))
+				}
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// run executes run index run of the campaign on the given logs. It is the
+// one place a check campaign builds a machine.
+func (r *Runner) run(run int, addrLog *replay.AddrLog, env *replay.Env) (*sim.Result, string, error) {
+	prog := r.build()
+	c := r.c
+	m := sim.NewMachine(sim.Config{
+		Threads:        c.Threads,
+		ScheduleSeed:   c.BaseScheduleSeed + int64(run),
+		SwitchInterval: c.SwitchInterval,
+		Scheme:         c.Scheme,
+		Hasher:         c.Hasher,
+		Rounding:       c.Rounding,
+		RoundFP:        c.RoundFP,
+		AddrLog:        addrLog,
+		Env:            env,
+		Ignore:         c.Ignore,
+		SnapshotAt:     r.snapshotAt,
+	})
+	res, err := m.Run(prog)
+	return res, prog.Name(), err
 }
 
 // ReplayState is the recorded substrate every replay run of a campaign

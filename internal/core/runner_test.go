@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"instantcheck/internal/replay"
 	"instantcheck/internal/sim"
@@ -34,21 +38,22 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// normalizeCampaign erases the fields that legitimately differ between the
-// sequential and parallel configurations of the same campaign.
+// normalizeCampaign erases the field that legitimately differs between two
+// pool widths of the same campaign.
 func normalizeCampaign(r *Report) {
 	r.Campaign.Parallelism = 1
 }
 
 // TestParallelEqualsSequential is the order-independence invariant at run
 // granularity: a campaign executed with a pool of concurrent replay
-// workers produces a byte-identical report to the sequential loop, for
-// both a deterministic and a nondeterministic program.
+// workers produces a byte-identical report to a pool of one, for a
+// deterministic program, a nondeterministic one, and one whose replay
+// runs draw past the recorded env stream.
 func TestParallelEqualsSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func() Builder
-	}{{"det", detBuilder}, {"racy", racyBuilder}} {
+	}{{"det", detBuilder}, {"racy", racyBuilder}, {"env-growth", envGrowthBuilder}} {
 		t.Run(tc.name, func(t *testing.T) {
 			camp := testCampaign()
 			seq, err := camp.Check(tc.build())
@@ -63,9 +68,80 @@ func TestParallelEqualsSequential(t *testing.T) {
 			normalizeCampaign(seq)
 			normalizeCampaign(par)
 			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("parallel report differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+				t.Errorf("8-wide pool's report differs from a pool of one's:\nseq: %+v\npar: %+v", seq, par)
 			}
 		})
+	}
+}
+
+// TestReplayAllPool checks the replay pool's bounds: it never has more than
+// its worker count of runs in flight and delivers every run once; it starts
+// no run after the first error, and none once its context is done.
+func TestReplayAllPool(t *testing.T) {
+	var inFlight, peak, started atomic.Int32
+	build := func() sim.Program {
+		started.Add(1)
+		n := inFlight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond) // let the runs overlap
+		return detBuilder()()
+	}
+	camp := testCampaign()
+	camp.Runs = 24
+	r, err := camp.NewRunner(build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Record(); err != nil {
+		t.Fatal(err)
+	}
+	inFlight.Add(-1)
+	var replays []int
+	for run := 1; run < camp.Runs; run++ {
+		replays = append(replays, run)
+	}
+
+	const workers = 3
+	delivered := make([]atomic.Int32, camp.Runs)
+	err = r.ReplayAll(context.Background(), replays, workers, func(run int, _ *sim.Result, _ time.Duration) error {
+		inFlight.Add(-1)
+		delivered[run].Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("%d runs in flight in a %d-worker pool", p, workers)
+	}
+	for _, run := range replays {
+		if n := delivered[run].Load(); n != 1 {
+			t.Errorf("run %d delivered %d times", run, n)
+		}
+	}
+
+	// Every delivery fails: each worker stops after its first run.
+	started.Store(0)
+	boom := errors.New("boom")
+	err = r.ReplayAll(context.Background(), replays, workers, func(int, *sim.Result, time.Duration) error {
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v; want the delivery error", err)
+	}
+	if n := started.Load(); n > workers {
+		t.Errorf("%d runs started after the first error; want at most %d", n, workers)
+	}
+
+	started.Store(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.ReplayAll(ctx, replays, workers, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v; want context.Canceled", err)
+	}
+	if n := started.Load(); n != 0 {
+		t.Errorf("%d runs started after cancellation", n)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestDispatcherSeamWithDuplicates(t *testing.T) {
 	spec := smokeSpec("radix", "mix64")
 
 	// Reference: the default local pool.
-	want, _, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, nil, nil)
+	want, _, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, smokeWorkers, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // the seam between the farm's job lifecycle (record, resume, merge — all
 // handled by runJob) and wherever the replay runs actually execute:
 //
-//   - the default localDispatcher fans the runs out across an in-process
-//     worker pool, exactly the pre-fleet behavior;
+//   - without one, runJob runs them on core's in-process replay pool
+//     (core.Runner.ReplayAll);
 //   - the fleet coordinator (internal/fleet) implements Dispatcher by
 //     leasing run-shards to remote worker processes and feeding their
 //     streamed results back through deliver.
@@ -29,62 +29,6 @@ import (
 type Dispatcher interface {
 	Dispatch(ctx context.Context, id JobID, spec JobSpec, runner *core.Runner, need []int,
 		deliver func(run int, res *sim.Result) error) error
-}
-
-// localDispatcher is the in-process dispatcher: a pool of Parallelism
-// goroutines draining the run list, each run on a private clone of the
-// recorded logs.
-type localDispatcher struct {
-	m *Metrics
-}
-
-func (d localDispatcher) Dispatch(ctx context.Context, id JobID, spec JobSpec, runner *core.Runner, need []int,
-	deliver func(run int, res *sim.Result) error) error {
-
-	camp := runner.Campaign()
-	workers := camp.Parallelism
-	if workers > len(need) {
-		workers = len(need)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	runs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for run := range runs {
-				if ctx.Err() != nil {
-					continue
-				}
-				replayStart := time.Now()
-				res, err := runner.Replay(run)
-				if err == nil {
-					d.m.observeRun(camp.Scheme, res, time.Since(replayStart))
-					err = deliver(run, res)
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, run := range need {
-		runs <- run
-	}
-	close(runs)
-	wg.Wait()
-	return firstErr
 }
 
 // PlanShards splits outstanding run indices into shards of at most size
@@ -114,20 +58,21 @@ func PlanShards(need []int, size int) [][]int {
 //
 //   - the recording run executes first and alone (it records the replay
 //     logs every other run depends on, §5);
-//   - the remaining runs go to the dispatcher — the in-process pool by
-//     default, a fleet coordinator when one is configured;
+//   - the remaining runs go to the dispatcher — core's replay pool,
+//     workers wide, by default, a fleet coordinator when one is
+//     configured;
 //   - runs already committed in prior (a resumed campaign) are not
 //     re-executed — their hash vectors come straight from the store;
 //   - the merge stage folds all vectors into a report. The hash combine
 //     and the cross-run comparison are commutative, so the report is
-//     byte-identical to a sequential campaign's.
+//     byte-identical to Campaign.Check's.
 //
 // onRun is called once per newly executed run, from at most one goroutine
 // at a time per run but concurrently across runs; the store's AppendRun is
 // the intended sink. progress is called after every finished run. m (nil
 // allowed) receives the runCounters of every run executed in this process.
-// disp nil selects the local pool.
-func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metrics, disp Dispatcher,
+// disp nil selects the local pool of workers goroutines.
+func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metrics, disp Dispatcher, workers int,
 	onRun func(run int, res *sim.Result) error,
 	progress func(done, total int)) (*Report, *core.Report, error) {
 
@@ -139,7 +84,6 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 	if err != nil {
 		return nil, nil, err
 	}
-	camp = runner.Campaign() // defaults applied
 	total := camp.Runs
 	results := make([]*sim.Result, total)
 	done := 0
@@ -226,13 +170,17 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 		}
 		return nil
 	}
-	if disp == nil {
-		disp = localDispatcher{m: m}
+	switch {
+	case disp == nil:
+		err = runner.ReplayAll(ctx, need, workers, func(run int, res *sim.Result, d time.Duration) error {
+			m.observeRun(camp.Scheme, res, d)
+			return deliver(run, res)
+		})
+	case len(need) > 0:
+		err = disp.Dispatch(ctx, id, spec, runner, need, deliver)
 	}
-	if len(need) > 0 {
-		if err := disp.Dispatch(ctx, id, spec, runner, need, deliver); err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -264,10 +212,6 @@ func sameVector(stored, fresh *sim.Result) error {
 // went down. Every run must be committed.
 func reportFromLog(jl *JobLog) (*Report, error) {
 	camp, _, err := jl.Spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	camp, err = camp.WithDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,16 @@ package farm
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"instantcheck/internal/core"
 	"instantcheck/internal/sim"
 )
 
@@ -17,39 +19,30 @@ import (
 // fast: small inputs, 8 runs, 4 threads.
 func smokeSpec(app, hasher string) JobSpec {
 	return JobSpec{
-		App:         app,
-		Runs:        8,
-		Threads:     4,
-		Seed:        50,
-		InputSeed:   7,
-		Hasher:      hasher,
-		Small:       true,
-		Parallelism: 8,
+		App:       app,
+		Runs:      8,
+		Threads:   4,
+		Seed:      50,
+		InputSeed: 7,
+		Hasher:    hasher,
+		Small:     true,
 	}
 }
 
-// normalizeCampaigns makes the two reports' campaigns comparable: the
-// parallel path records the Parallelism it used, the sequential one
-// records 1, and that field by design must not influence anything else.
-func normalizeCampaigns(a, b *core.Report) {
-	a.Campaign.Parallelism = 1
-	b.Campaign.Parallelism = 1
-}
+// smokeWorkers is the local pool width the runJob tests use.
+const smokeWorkers = 8
 
 // TestParallelEqualsSequentialFarm is the subsystem's central invariant:
 // for a smoke subset of apps and both hashers, a campaign pushed through
-// the farm's worker pool with Parallelism 8 yields a report identical to
-// the legacy sequential Campaign.Check.
+// the farm's 8-wide local pool yields a report identical to
+// Campaign.Check's pool of one.
 func TestParallelEqualsSequentialFarm(t *testing.T) {
 	for _, app := range []string{"fft", "lu", "radix", "barnes"} {
 		for _, hasher := range []string{"mix64", "crc64"} {
 			t.Run(app+"/"+hasher, func(t *testing.T) {
 				t.Parallel()
 				spec := smokeSpec(app, hasher)
-
-				seq := spec
-				seq.Parallelism = 1
-				camp, build, err := seq.Resolve()
+				camp, build, err := spec.Resolve()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,16 +51,44 @@ func TestParallelEqualsSequentialFarm(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				_, got, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, nil, nil)
+				_, got, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, smokeWorkers, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				normalizeCampaigns(want, got)
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("parallel farm report differs from sequential:\nseq %+v\npar %+v", want, got)
+					t.Errorf("farm report differs from Campaign.Check's:\ncheck %+v\nfarm  %+v", want, got)
 				}
 			})
 		}
+	}
+}
+
+// TestPoolWidthIsRunWorkers checks that a check job's local pool is as wide
+// as the daemon's worker count whatever the posted spec says: a body that
+// still carries the deleted "parallelism" field decodes, and a 2-worker
+// pool never has more than two runs in flight. Each run is held in onRun
+// for a moment, so a wider pool would show up as more concurrent calls.
+func TestPoolWidthIsRunWorkers(t *testing.T) {
+	var spec JobSpec
+	body := `{"app":"fft","runs":16,"threads":2,"small":true,"parallelism":100000}`
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	var inFlight, peak atomic.Int32
+	onRun := func(run int, res *sim.Result) error {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	}
+	if _, _, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, workers, onRun, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("%d runs in flight in a %d-worker pool", p, workers)
 	}
 }
 
@@ -93,7 +114,7 @@ func TestRunJobResume(t *testing.T) {
 	sink := func(st *Store) func(int, *sim.Result) error {
 		return func(run int, res *sim.Result) error { return st.AppendRun(id, run, res) }
 	}
-	want, _, err := runJob(context.Background(), id, spec, nil, nil, nil, sink(s1), nil)
+	want, _, err := runJob(context.Background(), id, spec, nil, nil, nil, smokeWorkers, sink(s1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +170,7 @@ func TestRunJobResume(t *testing.T) {
 		mu.Unlock()
 		return s2.AppendRun(id, run, res)
 	}
-	got, _, err := runJob(context.Background(), id, spec, jl, nil, nil, onRun, nil)
+	got, _, err := runJob(context.Background(), id, spec, jl, nil, nil, smokeWorkers, onRun, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +224,7 @@ func TestRunJobRejectsForeignLog(t *testing.T) {
 	if err := s.AppendRun(id, 0, testResult(0x1234, 3)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = runJob(context.Background(), id, spec, s.Job(id), nil, nil, nil, nil)
+	_, _, err = runJob(context.Background(), id, spec, s.Job(id), nil, nil, smokeWorkers, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Errorf("foreign log accepted: err = %v", err)
 	}

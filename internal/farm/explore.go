@@ -23,7 +23,7 @@ import (
 // crash re-generates identical schedules from the same seeds), and the
 // search outcome is made durable before the caller writes the jobend
 // marker. The search itself is sequential — strategies learn run to run —
-// so spec.Parallelism is ignored.
+// so it uses no replay pool and the daemon's RunWorkers does not apply.
 func runExploreJob(ctx context.Context, id JobID, spec JobSpec, store *Store, m *Metrics,
 	progress func(done, total int)) (*Report, error) {
 

@@ -54,9 +54,6 @@ type JobSpec struct {
 	// racefilter.MaxThreads (the detector behind race-directed search
 	// packs a thread slot into one byte).
 	Threads int `json:"threads,omitempty"`
-	// Parallelism is the number of replay runs executed concurrently.
-	// Zero lets the daemon choose its configured default.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Seed is the base schedule seed; run i uses Seed + i.
 	Seed int64 `json:"seed,omitempty"`
 	// InputSeed fixes the replayed input streams.
@@ -170,7 +167,6 @@ func (s JobSpec) Resolve() (core.Campaign, core.Builder, error) {
 	camp, err := core.Campaign{
 		Runs:             s.Runs,
 		Threads:          s.Threads,
-		Parallelism:      s.Parallelism,
 		BaseScheduleSeed: s.Seed,
 		InputSeed:        s.InputSeed,
 		SwitchInterval:   s.SwitchInterval,

@@ -50,8 +50,9 @@ type Job struct {
 
 // Options configures a server.
 type Options struct {
-	// RunWorkers is the run-level parallelism applied to jobs that do not
-	// set their own (<= 0 selects GOMAXPROCS).
+	// RunWorkers is the width of the local replay pool every check job
+	// runs on when Dispatcher is nil: at most this many of a job's replay
+	// runs execute at once (<= 0 selects GOMAXPROCS).
 	RunWorkers int
 	// JobWorkers is the number of campaigns executed concurrently
 	// (<= 0 selects 1: strict FIFO, one campaign at a time).
@@ -278,7 +279,7 @@ func (s *Server) execute(ctx context.Context, job *Job) {
 		rep, err = runExploreJob(jobCtx, job.ID, spec, s.store, s.metrics, progress)
 	} else {
 		prior := s.store.Job(job.ID)
-		rep, _, err = runJob(jobCtx, job.ID, spec, prior, s.metrics, s.opts.Dispatcher,
+		rep, _, err = runJob(jobCtx, job.ID, spec, prior, s.metrics, s.opts.Dispatcher, s.opts.RunWorkers,
 			func(run int, res *sim.Result) error { return s.store.AppendRun(job.ID, run, res) },
 			progress)
 	}
@@ -337,9 +338,6 @@ func (s *Server) execute(ctx context.Context, job *Job) {
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if _, _, err := spec.Resolve(); err != nil {
 		return nil, err
-	}
-	if spec.Parallelism == 0 {
-		spec.Parallelism = s.opts.RunWorkers
 	}
 	id := s.store.NextID()
 	if err := s.store.BeginJob(id, spec); err != nil {

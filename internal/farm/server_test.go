@@ -2,6 +2,8 @@ package farm
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -74,7 +76,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, nil, nil)
+	want, _, err := runJob(context.Background(), "j000000", spec, nil, nil, nil, smokeWorkers, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,20 +264,65 @@ func TestServerKilledAndRestarted(t *testing.T) {
 	}
 }
 
+// TestPostedParallelismNotPersisted posts a spec that still carries the
+// deleted "parallelism" field. The daemon accepts it and runs the job on
+// its own pool, and neither the job it serves nor the spec it persists,
+// which every restart would re-run, carries the field.
+func TestPostedParallelismNotPersisted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "farm.log")
+	_, c := startTestDaemon(t, path, Options{RunWorkers: 2})
+	resp, err := http.Post(c.BaseURL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"app":"fft","runs":4,"threads":2,"small":true,"parallelism":100000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var job Job
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	if done := waitDone(t, c, job.ID); done.State != JobDone {
+		t.Fatalf("job %s: %s", done.State, done.Error)
+	}
+	got, err := c.Job(bg, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, b := range map[string][]byte{"served job": served, "store": persisted} {
+		if strings.Contains(string(b), "parallelism") {
+			t.Errorf("%s carries the posted parallelism: %s", what, b)
+		}
+	}
+}
+
 // TestResumeStoreBufferWordsStore resumes a store written by a daemon
-// whose JobSpec still had the store_buffer_words field: its job line
-// carries "store_buffer_words":-1 (inline per-store hashing) and three
-// committed runs. JSON decoding ignores the removed field, and the store
-// buffer's digests equal inline hashing's, so the resumed job must finish
-// with the report and hash log of a fresh job.
+// whose JobSpec still had the store_buffer_words and parallelism fields:
+// its job line carries "store_buffer_words":-1 (inline per-store hashing),
+// "parallelism":8 and three committed runs. JSON decoding ignores the
+// removed fields, and the store buffer's digests equal inline hashing's,
+// so the resumed job must finish with the report and hash log of a fresh
+// job.
 func TestResumeStoreBufferWordsStore(t *testing.T) {
 	dir := t.TempDir()
 	legacy, err := os.ReadFile("testdata/store_buffer_words.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(legacy), `"store_buffer_words":-1`) {
-		t.Fatal("fixture lost its store_buffer_words field")
+	for _, field := range []string{`"store_buffer_words":-1`, `"parallelism":8`} {
+		if !strings.Contains(string(legacy), field) {
+			t.Fatalf("fixture lost its %s field", field)
+		}
 	}
 	legacyPath := filepath.Join(dir, "legacy.log")
 	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {

@@ -26,13 +26,12 @@ var bg = context.Background()
 // identical campaign.
 func fleetSpec(app string, runs int) farm.JobSpec {
 	return farm.JobSpec{
-		App:         app,
-		Runs:        runs,
-		Threads:     4,
-		Seed:        50,
-		InputSeed:   7,
-		Small:       true,
-		Parallelism: 4,
+		App:       app,
+		Runs:      runs,
+		Threads:   4,
+		Seed:      50,
+		InputSeed: 7,
+		Small:     true,
 	}
 }
 

@@ -17,11 +17,12 @@
 //     cost close to plain check runs. The package tests pin it
 //     observationally identical to a vector-clock reference detector, on
 //     fuzzed event traces and on every workload's real event stream.
-//   - Classify: runs the program under many schedules and marks each
-//     detected racy address benign or harmful by whether any reachable
-//     final state disagrees at it — the paper's observation that "using
-//     InstantCheck to detect races already filters out benign races
-//     because of the state comparison that InstantCheck performs".
+//   - Classify: runs the program under many schedules, once each, with
+//     the detector attached, and marks each detected racy address benign
+//     or harmful by whether any of those runs' final states disagrees at
+//     it — the paper's observation that "using InstantCheck to detect
+//     races already filters out benign races because of the state
+//     comparison that InstantCheck performs".
 package racefilter
 
 import (
@@ -30,6 +31,7 @@ import (
 	"sort"
 	"strings"
 
+	"instantcheck/internal/ihash"
 	"instantcheck/internal/mem"
 	"instantcheck/internal/replay"
 	"instantcheck/internal/sim"
@@ -182,6 +184,12 @@ func (c Config) runs() int {
 // attached and returns the union of races found, attributed to allocation
 // sites.
 func Detect(build func() sim.Program, cfg Config) ([]Race, error) {
+	return detect(build, cfg, nil)
+}
+
+// detect is Detect, and also hands each finished run's machine and result
+// to final when that is non-nil. It is the package's one run loop.
+func detect(build func() sim.Program, cfg Config, final func(*sim.Machine, *sim.Result)) ([]Race, error) {
 	env := replay.NewEnv(cfg.InputSeed)
 	addrLog := replay.NewAddrLog()
 	union := make(map[raceKey]Race)
@@ -196,8 +204,12 @@ func Detect(build func() sim.Program, cfg Config) ([]Race, error) {
 			AddrLog:      addrLog,
 			Events:       det,
 		})
-		if _, err := m.Run(build()); err != nil {
+		res, err := m.Run(build())
+		if err != nil {
 			return nil, fmt.Errorf("racefilter: detection run %d: %w", run+1, err)
+		}
+		if final != nil {
+			final(m, res)
 		}
 		for _, r := range det.Races() {
 			k := raceKey{r.Addr, r.Kind}
@@ -259,45 +271,31 @@ func (c *Classification) BenignCount() int {
 	return n
 }
 
-// Classify detects races and then classifies each one by comparing the
-// final memory states of many schedules at the racy address. A race whose
-// address ends with the same value under every explored schedule is
-// benign; one whose address diverges is harmful.
+// Classify detects races and classifies each one by comparing the final
+// memory states of the same runs at the racy address: each detection run's
+// final snapshot and State Hash are taken as it ends, since the detector
+// observes a run without changing its schedule. A race whose address ends
+// with the same value under every explored schedule is benign; one whose
+// address diverges is harmful.
 //
 // Note the approximation (shared with state-comparison classifiers): a
 // race whose own address converges but which steers *other* state is
 // caught through the program-level Deterministic verdict, not the
 // per-address one.
 func Classify(build func() sim.Program, cfg Config) (*Classification, error) {
-	races, err := Detect(build, cfg)
-	if err != nil {
-		return nil, err
-	}
-	env := replay.NewEnv(cfg.InputSeed)
-	addrLog := replay.NewAddrLog()
 	var snaps []*mem.Snapshot
 	deterministic := true
-	var firstSH uint64
-	for run := 0; run < cfg.runs(); run++ {
-		m := sim.NewMachine(sim.Config{
-			Threads:      cfg.Threads,
-			ScheduleSeed: cfg.BaseSeed + int64(run),
-			Scheme:       sim.HWInc,
-			RoundFP:      cfg.RoundFP,
-			Env:          env,
-			AddrLog:      addrLog,
-		})
-		res, err := m.Run(build())
-		if err != nil {
-			return nil, fmt.Errorf("racefilter: classify run %d: %w", run+1, err)
-		}
-		snaps = append(snaps, m.Mem.Snapshot())
-		sh := uint64(res.FinalSH())
-		if run == 0 {
-			firstSH = sh
-		} else if sh != firstSH {
+	var firstSH ihash.Digest
+	races, err := detect(build, cfg, func(m *sim.Machine, res *sim.Result) {
+		if len(snaps) == 0 {
+			firstSH = res.FinalSH()
+		} else if res.FinalSH() != firstSH {
 			deterministic = false
 		}
+		snaps = append(snaps, m.Mem.Snapshot())
+	})
+	if err != nil {
+		return nil, err
 	}
 	cl := &Classification{Deterministic: deterministic}
 	for _, r := range races {
