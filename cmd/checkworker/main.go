@@ -2,12 +2,13 @@
 // leases from a fleet-mode checkd (see cmd/checkd -fleet), fetches each
 // campaign's recorded replay bundle from the coordinator's content-addressed
 // store (caching it on disk by digest), replays the leased runs, and streams
-// the resulting State-Hash records back in batches.
+// the resulting State-Hash records back in batches of four, with at most
+// two batches unacknowledged before replay blocks.
 //
 // Usage:
 //
 //	checkworker -coordinator http://host:8347 [-name NAME] [-cache DIR]
-//	            [-poll D] [-batch N] [-inflight N] [-run-latency D]
+//	            [-poll D] [-run-latency D]
 //
 // The worker holds no campaign state of its own: every run is reproducible
 // from (replay bundle, run index) alone, so a worker may be killed at any
@@ -47,8 +48,6 @@ func main() {
 	name := flag.String("name", defaultName(), "worker name (shown on coordinator metrics)")
 	cache := flag.String("cache", filepath.Join(os.TempDir(), "checkworker-cache"), "replay-bundle cache directory")
 	poll := flag.Duration("poll", 100*time.Millisecond, "idle sleep between lease requests that found no work")
-	batch := flag.Int("batch", 4, "run records per results POST")
-	inflight := flag.Int("inflight", 2, "max unacknowledged result batches before replay blocks")
 	runLatency := flag.Duration("run-latency", 0, "artificial delay before each replay run (benchmarks/tests)")
 	flag.Parse()
 	log.SetPrefix("checkworker: ")
@@ -59,8 +58,6 @@ func main() {
 		Coordinator:  *coordinator,
 		CacheDir:     *cache,
 		PollInterval: *poll,
-		BatchSize:    *batch,
-		MaxInFlight:  *inflight,
 		RunLatency:   *runLatency,
 		Logf:         log.Printf,
 	})

@@ -100,18 +100,19 @@ func (c Campaign) withDefaults() (Campaign, error) {
 // once per run so that program-held handles reset between runs.
 type Builder func() sim.Program
 
-// CheckpointStat summarizes one checkpoint ordinal across all runs.
+// CheckpointStat summarizes one checkpoint ordinal across all runs. Its
+// JSON form is an element of the farm report's "stats".
 type CheckpointStat struct {
 	// Ordinal is the checkpoint's dynamic index.
-	Ordinal int
+	Ordinal int `json:"ordinal"`
 	// Label is the checkpoint label (barrier name or "end").
-	Label string
+	Label string `json:"label"`
 	// Distribution counts runs per distinct State Hash, sorted descending:
 	// [30] means fully deterministic, [16 11 3] means three distinct
 	// states were observed (the D5 example of Figure 5).
-	Distribution []int
+	Distribution []int `json:"distribution"`
 	// Deterministic is true when all runs agreed.
-	Deterministic bool
+	Deterministic bool `json:"deterministic"`
 }
 
 // DistKey returns the distribution as a canonical "16/11/3" string, the

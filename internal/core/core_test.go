@@ -466,32 +466,6 @@ func TestOverheadWithIgnores(t *testing.T) {
 	}
 }
 
-// TestNonIdealSWTr checks the §4.2 table-maintenance accounting: the
-// non-ideal traversal cost strictly dominates the ideal one and grows with
-// allocation traffic and sweep volume.
-func TestNonIdealSWTr(t *testing.T) {
-	c := sim.Counters{
-		Instr:           10000,
-		CheckpointWords: 500,
-		Allocs:          20,
-		Frees:           15,
-	}
-	ideal := DefaultCostModel.Overheads("x", c).SWTrIdeal
-	real := DefaultCostModel.NonIdealSWTr(DefaultTrTableCosts, c)
-	if real <= ideal {
-		t.Errorf("non-ideal %v <= ideal %v", real, ideal)
-	}
-	// Hand-computed: 10000 + 500*80 + (20*60 + 15*40 + 500*4) = 53800.
-	if want := 5.38; !fpnear(real, want) {
-		t.Errorf("non-ideal = %v, want %v", real, want)
-	}
-	// No allocations, no sweep: both collapse to 1.
-	empty := sim.Counters{Instr: 1000}
-	if got := DefaultCostModel.NonIdealSWTr(DefaultTrTableCosts, empty); !fpnear(got, 1) {
-		t.Errorf("empty = %v", got)
-	}
-}
-
 // TestGeoMean checks the Figure 6 aggregate.
 func TestGeoMean(t *testing.T) {
 	rows := []Overhead{

@@ -42,51 +42,6 @@ var DefaultCostModel = CostModel{
 	BufferAppendInstr:    8,
 }
 
-// TrTableCosts models the overheads §4.2 attributes to a realistic (non-
-// ideal) SW-InstantCheck_Tr: maintaining the table of allocated blocks with
-// their type annotations (an insert per malloc, a delete per free) and the
-// per-word table lookups while sweeping the state. Figure 6 deliberately
-// ignores these ("ideal lower bound"); NonIdealSWTr adds them back so the
-// gap can be quantified.
-type TrTableCosts struct {
-	// InsertInstr is the cost of registering one allocation (hashing the
-	// site, storing extent and type annotation).
-	InsertInstr float64
-	// DeleteInstr is the cost of removing one allocation.
-	DeleteInstr float64
-	// LookupInstrPerWord is the per-swept-word cost of locating the word's
-	// block and type annotation during traversal.
-	LookupInstrPerWord float64
-}
-
-// DefaultTrTableCosts is a conventional accounting: a hash-table insert or
-// delete runs tens of instructions, and the per-word lookup amortizes to a
-// few instructions with block-sorted sweeping.
-var DefaultTrTableCosts = TrTableCosts{
-	InsertInstr:        60,
-	DeleteInstr:        40,
-	LookupInstrPerWord: 4,
-}
-
-// NonIdealSWTr returns the SW-InstantCheck_Tr overhead including the
-// allocation-table maintenance of §4.2, normalized to Native.
-func (cm CostModel) NonIdealSWTr(tc TrTableCosts, c sim.Counters) float64 {
-	native := float64(c.Instr)
-	if native == 0 {
-		native = 1
-	}
-	zero := float64(c.AllocZeroWords+c.FreeEraseWords) * cm.ZeroInstrPerWord
-	sweepWords := float64(c.CheckpointWords) - float64(c.IgnoredWordChecks)
-	if sweepWords < 0 {
-		sweepWords = 0
-	}
-	perTerm := cm.SWHashInstrPerByte * cm.BytesPerTerm
-	table := float64(c.Allocs)*tc.InsertInstr +
-		float64(c.Frees)*tc.DeleteInstr +
-		sweepWords*tc.LookupInstrPerWord
-	return (native + zero + sweepWords*perTerm + table) / native
-}
-
 // Overhead reports instruction counts for the four configurations of
 // Figure 6, normalized to Native.
 type Overhead struct {

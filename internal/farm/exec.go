@@ -98,7 +98,7 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 
 	// Resurrect committed runs from the store. Their hashes are trusted;
 	// run 0 is additionally cross-checked below against the re-recorded
-	// vector, which catches a log written by a different binary or input.
+	// run, which catches a log written by a different binary or input.
 	if prior != nil {
 		for _, run := range prior.CompletedRuns() {
 			if run < total {
@@ -121,7 +121,7 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 	}
 	m.observeRun(camp.Scheme, first, time.Since(recordStart))
 	if results[0] != nil {
-		if err := sameVector(results[0], first); err != nil {
+		if err := prior.Run(0).diff(NewRunRecord(0, first)); err != nil {
 			return nil, nil, fmt.Errorf("farm: stored hash log disagrees with re-recorded run 1: %w", err)
 		}
 	} else {
@@ -191,20 +191,6 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 		return nil, nil, err
 	}
 	return projectReport(coreRep), coreRep, nil
-}
-
-// sameVector checks a stored run's hash vector against a re-executed one.
-func sameVector(stored, fresh *sim.Result) error {
-	if len(stored.Checkpoints) != len(fresh.Checkpoints) {
-		return fmt.Errorf("stored %d checkpoints, re-executed %d", len(stored.Checkpoints), len(fresh.Checkpoints))
-	}
-	for i := range stored.Checkpoints {
-		if stored.Checkpoints[i].SH != fresh.Checkpoints[i].SH {
-			return fmt.Errorf("checkpoint %d: stored %v, re-executed %v",
-				i, stored.Checkpoints[i].SH, fresh.Checkpoints[i].SH)
-		}
-	}
-	return nil
 }
 
 // reportFromLog assembles a finished job's report purely from its stored

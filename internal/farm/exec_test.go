@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -207,7 +208,8 @@ func TestRunJobResume(t *testing.T) {
 
 // TestRunJobRejectsForeignLog checks the cross-check of the recording
 // run: a stored hash log that disagrees with re-recorded run 1 (wrong
-// binary, wrong input) must fail loudly instead of merging silently.
+// binary, wrong input) must fail loudly instead of merging silently, in
+// its State Hashes or in its output hashes alone.
 func TestRunJobRejectsForeignLog(t *testing.T) {
 	spec := smokeSpec("fft", "mix64")
 	dir := t.TempDir()
@@ -227,6 +229,34 @@ func TestRunJobRejectsForeignLog(t *testing.T) {
 	_, _, err = runJob(context.Background(), id, spec, s.Job(id), nil, nil, smokeWorkers, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Errorf("foreign log accepted: err = %v", err)
+	}
+
+	// Committed runs 0-3 from a binary whose output differs: every
+	// checkpoint hash right, the stdout hash flipped. A check of the State
+	// Hash vector alone resumed this log and reported two distinct
+	// outputs where a fresh campaign reports one.
+	spec = smokeSpec("pbzip2", "mix64")
+	id = s.NextID()
+	if err := s.BeginJob(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	flipStdout := func(run int, res *sim.Result) error {
+		if run > 3 {
+			return nil
+		}
+		rec := NewRunRecord(run, res)
+		if len(rec.Outputs) == 0 || rec.Outputs[0].FD != sim.Stdout {
+			return fmt.Errorf("run %d has no stdout stream: %+v", run, rec.Outputs)
+		}
+		rec.Outputs[0].Hash ^= 1
+		return s.AppendRun(id, run, rec.Result())
+	}
+	if _, _, err := runJob(context.Background(), id, spec, nil, nil, nil, smokeWorkers, flipStdout, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = runJob(context.Background(), id, spec, s.Job(id), nil, nil, smokeWorkers, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "disagrees") {
+		t.Errorf("log with foreign outputs accepted: err = %v", err)
 	}
 }
 

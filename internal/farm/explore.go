@@ -73,23 +73,13 @@ func runExploreJob(ctx context.Context, id JobID, spec JobSpec, store *Store, m 
 		return nil, err
 	}
 
-	wire := &ExploreOutcome{
-		Strategy:         out.Strategy,
-		Budget:           out.Budget,
-		Runs:             out.Runs,
-		Found:            out.Found,
-		DivergedRun:      out.DivergedRun,
-		DistinctOutcomes: out.DistinctOutcomes,
-		DistinctFinals:   out.DistinctFinals,
-		Hits:             out.Hits,
-	}
-	m.observeExplore(wire)
+	m.observeExplore(out)
 	if store != nil {
-		if err := store.SetExploreOutcome(id, wire); err != nil {
+		if err := store.SetExploreOutcome(id, out); err != nil {
 			return nil, err
 		}
 	}
-	return exploreReport(spec, wire), nil
+	return exploreReport(spec, out), nil
 }
 
 // exploreReport projects a search outcome into the wire report. The

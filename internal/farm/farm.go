@@ -196,64 +196,34 @@ func knownStrategy(name string) bool {
 	return false
 }
 
-// CheckpointStat is the wire projection of one checkpoint's cross-run
-// distribution.
-type CheckpointStat struct {
-	Ordinal       int    `json:"ordinal"`
-	Label         string `json:"label"`
-	Distribution  []int  `json:"distribution"`
-	Deterministic bool   `json:"deterministic"`
-}
-
 // Report is the wire projection of a campaign outcome. It carries exactly
 // the hash-level results — verdicts, distributions, detection latency —
 // and none of the per-run simulator internals, so a report assembled from
 // a resumed hash log is identical to one from an uninterrupted campaign.
 type Report struct {
-	Program        string           `json:"program"`
-	Runs           int              `json:"runs"`
-	Points         int              `json:"points"`
-	DetPoints      int              `json:"det_points"`
-	NDetPoints     int              `json:"ndet_points"`
-	Deterministic  bool             `json:"deterministic"`
-	DetAtEnd       bool             `json:"det_at_end"`
-	FirstNDetRun   int              `json:"first_ndet_run"`
-	ShapeMismatch  bool             `json:"shape_mismatch"`
-	OutputDistinct int              `json:"output_distinct"`
-	Stats          []CheckpointStat `json:"stats"`
+	Program        string                `json:"program"`
+	Runs           int                   `json:"runs"`
+	Points         int                   `json:"points"`
+	DetPoints      int                   `json:"det_points"`
+	NDetPoints     int                   `json:"ndet_points"`
+	Deterministic  bool                  `json:"deterministic"`
+	DetAtEnd       bool                  `json:"det_at_end"`
+	FirstNDetRun   int                   `json:"first_ndet_run"`
+	ShapeMismatch  bool                  `json:"shape_mismatch"`
+	OutputDistinct int                   `json:"output_distinct"`
+	Stats          []core.CheckpointStat `json:"stats"`
 	// Explore carries the search outcome of explore jobs; nil on check
 	// jobs, keeping their report JSON byte-identical to earlier versions.
 	Explore *ExploreOutcome `json:"explore,omitempty"`
 }
 
-// ExploreOutcome is the wire projection of an exploration campaign's
-// result (explore.Outcome), durable in the store's "explored" record.
-type ExploreOutcome struct {
-	// Strategy is the schedule-generation strategy that ran.
-	Strategy string `json:"strategy"`
-	// Budget is the run budget the job was submitted with.
-	Budget int `json:"budget"`
-	// Runs is the number of schedules executed (the campaign stops at the
-	// first divergence).
-	Runs int `json:"runs"`
-	// Found is true when a schedule-dependent State-Hash divergence was
-	// detected.
-	Found bool `json:"found"`
-	// DivergedRun is the 1-based run of the first divergence (0 if none)
-	// — the runs-to-detect measurement.
-	DivergedRun int `json:"diverged_run,omitempty"`
-	// DistinctOutcomes counts distinct (checkpoint ordinal, State Hash)
-	// pairs seen across the campaign.
-	DistinctOutcomes int `json:"distinct_outcomes"`
-	// DistinctFinals counts distinct final State Hashes.
-	DistinctFinals int `json:"distinct_finals"`
-	// Hits counts directed preemptions (race-directed strategy).
-	Hits int `json:"hits,omitempty"`
-}
+// ExploreOutcome is an explore job's search outcome, durable in the
+// store's "explored" record.
+type ExploreOutcome = explore.Outcome
 
 // projectReport flattens a core report into the wire shape.
 func projectReport(rep *core.Report) *Report {
-	out := &Report{
+	return &Report{
 		Program:        rep.Program,
 		Runs:           len(rep.Runs),
 		Points:         rep.Points(),
@@ -264,16 +234,8 @@ func projectReport(rep *core.Report) *Report {
 		FirstNDetRun:   rep.FirstNDetRun,
 		ShapeMismatch:  rep.ShapeMismatch,
 		OutputDistinct: rep.OutputDistinct,
+		Stats:          rep.Stats,
 	}
-	for _, s := range rep.Stats {
-		out.Stats = append(out.Stats, CheckpointStat{
-			Ordinal:       s.Ordinal,
-			Label:         s.Label,
-			Distribution:  append([]int(nil), s.Distribution...),
-			Deterministic: s.Deterministic,
-		})
-	}
-	return out
 }
 
 // HashLogLine is one (run, checkpoint, SH) record of a job's hash log —

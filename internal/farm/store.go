@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,21 +39,85 @@ import (
 
 const storeHeader = "checkfarm-log v1"
 
-// RunLog is one committed run's records.
-type RunLog struct {
-	// Checkpoints holds the run's hash vector in checkpoint order.
-	Checkpoints []HashLogLine
-	// Outputs holds the run's per-descriptor output-stream hashes.
-	Outputs []OutRecord
-	// Done is true once the commit marker was seen.
-	Done bool
+// RunRecord is one run's complete hash-level result: its State Hash
+// vector and its per-descriptor output-stream hashes (§4.3). It is the one
+// form a run takes outside the simulator: the store indexes and writes
+// committed runs as records, fleet workers send them back in results
+// batches, and report assembly rebuilds its inputs from them.
+type RunRecord struct {
+	Run         int                `json:"run"`
+	Checkpoints []CheckpointRecord `json:"checkpoints"`
+	Outputs     []OutputRecord     `json:"outputs,omitempty"`
 }
 
-// OutRecord is one output stream's hash (fd, FNV hash, byte count).
-type OutRecord struct {
-	FD    int
-	Hash  uint64
-	Bytes uint64
+// CheckpointRecord is one checkpoint's State Hash.
+type CheckpointRecord struct {
+	Ordinal int          `json:"ordinal"`
+	Label   string       `json:"label"`
+	SH      ihash.Digest `json:"sh"`
+}
+
+// OutputRecord is one output stream's hash (fd, FNV hash, byte count).
+type OutputRecord struct {
+	FD    int    `json:"fd"`
+	Hash  uint64 `json:"hash"`
+	Bytes uint64 `json:"bytes"`
+}
+
+// NewRunRecord projects a run result to its record, outputs in fd order.
+func NewRunRecord(run int, res *sim.Result) RunRecord {
+	rec := RunRecord{Run: run}
+	for _, cp := range res.Checkpoints {
+		rec.Checkpoints = append(rec.Checkpoints, CheckpointRecord{Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
+	}
+	fds := make([]int, 0, len(res.Outputs))
+	for fd := range res.Outputs {
+		fds = append(fds, fd)
+	}
+	sort.Ints(fds)
+	for _, fd := range fds {
+		o := res.Outputs[fd]
+		rec.Outputs = append(rec.Outputs, OutputRecord{FD: fd, Hash: o.Hash, Bytes: o.Bytes})
+	}
+	return rec
+}
+
+// Result rebuilds the run result the record describes. Only the
+// hash-level fields are set — exactly what report assembly compares.
+func (r RunRecord) Result() *sim.Result {
+	res := &sim.Result{}
+	for _, cp := range r.Checkpoints {
+		res.Checkpoints = append(res.Checkpoints, sim.Checkpoint{Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
+	}
+	if len(r.Outputs) > 0 {
+		res.Outputs = make(map[int]sim.OutputStream, len(r.Outputs))
+		for _, o := range r.Outputs {
+			res.Outputs[o.FD] = sim.OutputStream{Hash: o.Hash, Bytes: o.Bytes}
+			res.OutputBytes += o.Bytes
+		}
+	}
+	res.OutputHash = res.Outputs[sim.Stdout].Hash
+	return res
+}
+
+// diff reports the first difference between two records of the same run,
+// or nil when every checkpoint and output stream agrees. Runs are
+// deterministic, so a difference means the two came from different
+// binaries, inputs or seeds.
+func (r RunRecord) diff(o RunRecord) error {
+	if len(r.Checkpoints) != len(o.Checkpoints) {
+		return fmt.Errorf("%d checkpoints against %d", len(r.Checkpoints), len(o.Checkpoints))
+	}
+	for i, a := range r.Checkpoints {
+		if b := o.Checkpoints[i]; a != b {
+			return fmt.Errorf("checkpoint %d: (%d %v %q) against (%d %v %q)",
+				i, a.Ordinal, a.SH, a.Label, b.Ordinal, b.SH, b.Label)
+		}
+	}
+	if !slices.Equal(r.Outputs, o.Outputs) {
+		return fmt.Errorf("output streams %+v against %+v", r.Outputs, o.Outputs)
+	}
+	return nil
 }
 
 // JobLog is the store's view of one job.
@@ -69,25 +135,18 @@ type JobLog struct {
 	// (nil for check jobs and for explore jobs that never completed).
 	Explore *ExploreOutcome
 
-	runs map[int]*RunLog
+	// runs holds the committed runs by index.
+	runs map[int]*RunRecord
 }
 
-// Run returns the committed log of the given run, or nil.
-func (jl *JobLog) Run(run int) *RunLog {
-	rl := jl.runs[run]
-	if rl == nil || !rl.Done {
-		return nil
-	}
-	return rl
-}
+// Run returns the committed record of the given run, or nil.
+func (jl *JobLog) Run(run int) *RunRecord { return jl.runs[run] }
 
 // CompletedRuns lists the committed run indices in increasing order.
 func (jl *JobLog) CompletedRuns() []int {
 	var out []int
-	for run, rl := range jl.runs {
-		if rl.Done {
-			out = append(out, run)
-		}
+	for run := range jl.runs {
+		out = append(out, run)
 	}
 	sort.Ints(out)
 	return out
@@ -98,57 +157,11 @@ func (jl *JobLog) CompletedRuns() []int {
 func (jl *JobLog) HashLog() []HashLogLine {
 	var out []HashLogLine
 	for _, run := range jl.CompletedRuns() {
-		out = append(out, jl.runs[run].Checkpoints...)
+		for _, cp := range jl.runs[run].Checkpoints {
+			out = append(out, HashLogLine{Run: run, Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
+		}
 	}
 	return out
-}
-
-// sameResult checks a fresh result against this committed run's records,
-// the conflict detector behind AppendRun's idempotence.
-func (rl *RunLog) sameResult(res *sim.Result) error {
-	if len(rl.Checkpoints) != len(res.Checkpoints) {
-		return fmt.Errorf("committed %d checkpoints, appended %d", len(rl.Checkpoints), len(res.Checkpoints))
-	}
-	for i, cp := range res.Checkpoints {
-		have := rl.Checkpoints[i]
-		if have.Ordinal != cp.Ordinal || have.SH != cp.SH || have.Label != cp.Label {
-			return fmt.Errorf("checkpoint %d: committed (%d %v %q), appended (%d %v %q)",
-				i, have.Ordinal, have.SH, have.Label, cp.Ordinal, cp.SH, cp.Label)
-		}
-	}
-	if len(rl.Outputs) != len(res.Outputs) {
-		return fmt.Errorf("committed %d output streams, appended %d", len(rl.Outputs), len(res.Outputs))
-	}
-	for _, o := range rl.Outputs {
-		got, ok := res.Outputs[o.FD]
-		if !ok || got.Hash != o.Hash || got.Bytes != o.Bytes {
-			return fmt.Errorf("output fd %d: committed (%016x %d), appended (%016x %d ok=%v)",
-				o.FD, o.Hash, o.Bytes, got.Hash, got.Bytes, ok)
-		}
-	}
-	return nil
-}
-
-// Result reconstructs a committed run as a checker run result. Only the
-// hash-level fields are populated — exactly what report assembly compares.
-func (rl *RunLog) Result() *sim.Result {
-	res := &sim.Result{}
-	for _, cp := range rl.Checkpoints {
-		res.Checkpoints = append(res.Checkpoints, sim.Checkpoint{
-			Ordinal: cp.Ordinal,
-			Label:   cp.Label,
-			SH:      cp.SH,
-		})
-	}
-	if len(rl.Outputs) > 0 {
-		res.Outputs = make(map[int]sim.OutputStream, len(rl.Outputs))
-		for _, o := range rl.Outputs {
-			res.Outputs[o.FD] = sim.OutputStream{Hash: o.Hash, Bytes: o.Bytes}
-			res.OutputBytes += o.Bytes
-		}
-	}
-	res.OutputHash = res.Outputs[sim.Stdout].Hash
-	return res
 }
 
 // Store is the append-only hash-log store plus its in-memory index. All
@@ -234,20 +247,27 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
+// runKey names one run of one job.
+type runKey struct {
+	job JobID
+	run int
+}
+
 // load scans the log and rebuilds the index.
 func (s *Store) load() error {
+	open := make(map[runKey]*RunRecord)
 	sc := bufio.NewScanner(s.f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		s.indexLine(strings.TrimRight(sc.Text(), "\r"))
+		s.indexLine(strings.TrimRight(sc.Text(), "\r"), open)
 	}
 	return sc.Err()
 }
 
-// indexLine folds one log line into the index. Malformed lines are
-// skipped: the only way they arise is a crash mid-write, and their data is
-// recomputed on resume.
-func (s *Store) indexLine(line string) {
+// indexLine folds one log line into the index; open holds the run attempts
+// begun but not yet committed. Malformed lines are skipped: the only way
+// they arise is a crash mid-write, and their data is recomputed on resume.
+func (s *Store) indexLine(line string, open map[runKey]*RunRecord) {
 	if line == "" || line == storeHeader {
 		return
 	}
@@ -262,7 +282,7 @@ func (s *Store) indexLine(line string) {
 			return
 		}
 		if _, ok := s.jobs[id]; !ok {
-			s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunLog)}
+			s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunRecord)}
 			s.order = append(s.order, id)
 			if n, err := strconv.Atoi(strings.TrimPrefix(string(id), "j")); err == nil && n > s.maxID {
 				s.maxID = n
@@ -280,8 +300,9 @@ func (s *Store) indexLine(line string) {
 		if err != nil {
 			return
 		}
-		// A fresh attempt discards any half-written earlier attempt.
-		jl.runs[run] = &RunLog{}
+		// A fresh attempt replaces any earlier attempt of the run.
+		delete(jl.runs, run)
+		open[runKey{id, run}] = &RunRecord{Run: run}
 	case "cp":
 		f := strings.SplitN(rest, " ", 4)
 		if len(f) != 4 {
@@ -294,11 +315,11 @@ func (s *Store) indexLine(line string) {
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return
 		}
-		rl := jl.runs[run]
-		if rl == nil || rl.Done {
+		rec := open[runKey{id, run}]
+		if rec == nil {
 			return
 		}
-		rl.Checkpoints = append(rl.Checkpoints, HashLogLine{Run: run, Ordinal: ord, Label: label, SH: ihash.Digest(sh)})
+		rec.Checkpoints = append(rec.Checkpoints, CheckpointRecord{Ordinal: ord, Label: label, SH: ihash.Digest(sh)})
 	case "out":
 		f := strings.Fields(rest)
 		if len(f) != 4 {
@@ -311,11 +332,11 @@ func (s *Store) indexLine(line string) {
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return
 		}
-		rl := jl.runs[run]
-		if rl == nil || rl.Done {
+		rec := open[runKey{id, run}]
+		if rec == nil {
 			return
 		}
-		rl.Outputs = append(rl.Outputs, OutRecord{FD: fd, Hash: hash, Bytes: bytes})
+		rec.Outputs = append(rec.Outputs, OutputRecord{FD: fd, Hash: hash, Bytes: bytes})
 	case "runend":
 		f := strings.Fields(rest)
 		if len(f) != 2 {
@@ -326,11 +347,12 @@ func (s *Store) indexLine(line string) {
 		if err1 != nil || err2 != nil {
 			return
 		}
-		rl := jl.runs[run]
-		if rl == nil || len(rl.Checkpoints) != ncp {
+		rec := open[runKey{id, run}]
+		if rec == nil || len(rec.Checkpoints) != ncp {
 			return // commit marker without matching data: drop the run
 		}
-		rl.Done = true
+		delete(open, runKey{id, run})
+		jl.runs[run] = rec
 	case "explored":
 		var out ExploreOutcome
 		if err := json.Unmarshal([]byte(rest), &out); err != nil {
@@ -387,7 +409,7 @@ func (s *Store) BeginJob(id JobID, spec JobSpec) error {
 	if err := s.appendLine(fmt.Sprintf("job %s %s", id, specJSON)); err != nil {
 		return err
 	}
-	s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunLog)}
+	s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunRecord)}
 	s.order = append(s.order, id)
 	return nil
 }
@@ -409,35 +431,26 @@ func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 	if jl == nil {
 		return fmt.Errorf("farm: job %s not in store", id)
 	}
-	if prev := jl.runs[run]; prev != nil && prev.Done {
-		if err := prev.sameResult(res); err != nil {
+	rec := NewRunRecord(run, res)
+	if prev := jl.runs[run]; prev != nil {
+		if err := prev.diff(rec); err != nil {
 			return fmt.Errorf("farm: job %s run %d: duplicate append disagrees with committed record: %w", id, run, err)
 		}
 		return nil
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "runstart %s %d\n", id, run)
-	rl := &RunLog{}
-	for _, cp := range res.Checkpoints {
+	for _, cp := range rec.Checkpoints {
 		fmt.Fprintf(&sb, "cp %s %d %d %016x %q\n", id, run, cp.Ordinal, uint64(cp.SH), cp.Label)
-		rl.Checkpoints = append(rl.Checkpoints, HashLogLine{Run: run, Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
 	}
-	fds := make([]int, 0, len(res.Outputs))
-	for fd := range res.Outputs {
-		fds = append(fds, fd)
+	for _, o := range rec.Outputs {
+		fmt.Fprintf(&sb, "out %s %d %d %016x %d\n", id, run, o.FD, o.Hash, o.Bytes)
 	}
-	sort.Ints(fds)
-	for _, fd := range fds {
-		o := res.Outputs[fd]
-		fmt.Fprintf(&sb, "out %s %d %d %016x %d\n", id, run, fd, o.Hash, o.Bytes)
-		rl.Outputs = append(rl.Outputs, OutRecord{FD: fd, Hash: o.Hash, Bytes: o.Bytes})
-	}
-	fmt.Fprintf(&sb, "runend %s %d %d", id, run, len(res.Checkpoints))
+	fmt.Fprintf(&sb, "runend %s %d %d", id, run, len(rec.Checkpoints))
 	if err := s.appendLine(sb.String()); err != nil {
 		return err
 	}
-	rl.Done = true
-	jl.runs[run] = rl
+	jl.runs[run] = &rec
 	return nil
 }
 
@@ -508,19 +521,14 @@ func (s *Store) Jobs() []*JobLog {
 	return out
 }
 
+// clone copies the job's index entry. Committed records are never
+// modified, so the copy shares them.
 func (jl *JobLog) clone() *JobLog {
-	c := &JobLog{ID: jl.ID, Spec: jl.Spec, Final: jl.Final, Err: jl.Err, runs: make(map[int]*RunLog, len(jl.runs))}
+	c := *jl
 	if jl.Explore != nil {
 		e := *jl.Explore
 		c.Explore = &e
 	}
-	for run, rl := range jl.runs {
-		rc := &RunLog{
-			Checkpoints: append([]HashLogLine(nil), rl.Checkpoints...),
-			Outputs:     append([]OutRecord(nil), rl.Outputs...),
-			Done:        rl.Done,
-		}
-		c.runs[run] = rc
-	}
-	return c
+	c.runs = maps.Clone(jl.runs)
+	return &c
 }

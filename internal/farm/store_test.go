@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -83,6 +85,32 @@ func TestStoreRoundTrip(t *testing.T) {
 	res := after.Run(0).Result()
 	if res.Outputs[1].Hash != 0xabc || res.OutputBytes != 64 {
 		t.Errorf("output reconstruction: %+v", res.Outputs)
+	}
+}
+
+// TestRunRecordWireBytes pins the JSON a fleet worker sends for one run in
+// a results batch, and checks that a record survives the trip through the
+// run result the coordinator delivers.
+func TestRunRecordWireBytes(t *testing.T) {
+	res := &sim.Result{
+		Checkpoints: []sim.Checkpoint{
+			{Ordinal: 0, Label: `b"1`, SH: ihash.Digest(math.MaxUint64)},
+			{Ordinal: 1, Label: "end", SH: 7},
+		},
+		Outputs: map[int]sim.OutputStream{2: {Hash: 1 << 63, Bytes: 3}, 1: {Hash: 5, Bytes: 9}},
+	}
+	r := NewRunRecord(3, res)
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"run":3,"checkpoints":[{"ordinal":0,"label":"b\"1","sh":18446744073709551615},{"ordinal":1,"label":"end","sh":7}],` +
+		`"outputs":[{"fd":1,"hash":5,"bytes":9},{"fd":2,"hash":9223372036854775808,"bytes":3}]}`
+	if string(got) != want {
+		t.Errorf("wire bytes:\ngot  %s\nwant %s", got, want)
+	}
+	if back := NewRunRecord(r.Run, r.Result()); !reflect.DeepEqual(back, r) {
+		t.Errorf("round trip through Result:\ngot  %+v\nwant %+v", back, r)
 	}
 }
 

@@ -26,12 +26,6 @@ type CoordinatorOptions struct {
 	// selects 10s). Expired leases return their undelivered runs to the
 	// shard queue.
 	LeaseTTL time.Duration
-	// LivenessWindow bounds how long a silent worker still counts as live
-	// on the worker gauges (<= 0 selects 3×LeaseTTL).
-	LivenessWindow time.Duration
-	// Registry receives the checkfleet metric families; nil creates a
-	// private registry (exposed via Registry()).
-	Registry *obs.Registry
 	// Logf, when non-nil, receives one line per fleet event.
 	Logf func(format string, args ...any)
 }
@@ -42,12 +36,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.LivenessWindow <= 0 {
-		o.LivenessWindow = 3 * o.LeaseTTL
-	}
-	if o.Registry == nil {
-		o.Registry = obs.NewRegistry()
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -98,6 +86,7 @@ type blob struct {
 // Handler() next to the farm's API.
 type Coordinator struct {
 	opts CoordinatorOptions
+	reg  *obs.Registry
 	m    *metrics
 
 	mu        sync.Mutex
@@ -115,25 +104,26 @@ type Coordinator struct {
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:      opts.withDefaults(),
+		reg:       obs.NewRegistry(),
 		campaigns: make(map[farm.JobID]*campaign),
 		leases:    make(map[string]*lease),
 		blobs:     make(map[replay.Digest]*blob),
 		workers:   make(map[string]time.Time),
 	}
-	c.m = newMetrics(c.opts.Registry)
-	c.opts.Registry.GaugeFunc("checkfleet_workers_live",
+	c.m = newMetrics(c.reg)
+	c.reg.GaugeFunc("checkfleet_workers_live",
 		"Workers that have reported in within the liveness window.", func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return float64(c.liveWorkersLocked(time.Now()))
 		})
-	c.opts.Registry.GaugeFunc("checkfleet_leases_active",
+	c.reg.GaugeFunc("checkfleet_leases_active",
 		"Shard leases currently granted and unexpired.", func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return float64(len(c.leases))
 		})
-	c.opts.Registry.GaugeFunc("checkfleet_campaigns_active",
+	c.reg.GaugeFunc("checkfleet_campaigns_active",
 		"Campaigns with a replay stage in flight.", func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
@@ -144,13 +134,19 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 
 // Registry returns the registry holding the checkfleet families — merge it
 // with the farm's via obs.MergedHandler (gated by obs.LintMerged).
-func (c *Coordinator) Registry() *obs.Registry { return c.opts.Registry }
+func (c *Coordinator) Registry() *obs.Registry { return c.reg }
+
+// live reports whether a worker last heard from at last still counts as
+// live at now: within three lease TTLs.
+func (c *Coordinator) live(last, now time.Time) bool {
+	return now.Sub(last) <= 3*c.opts.LeaseTTL
+}
 
 // liveWorkersLocked counts workers inside the liveness window.
 func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, last := range c.workers {
-		if now.Sub(last) <= c.opts.LivenessWindow {
+		if c.live(last, now) {
 			n++
 		}
 	}
@@ -168,7 +164,7 @@ func (c *Coordinator) touchWorkerLocked(worker string, now time.Time) {
 		c.m.workerLive.Func(w, func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			if time.Since(c.workers[w]) <= c.opts.LivenessWindow {
+			if c.live(c.workers[w], time.Now()) {
 				return 1
 			}
 			return 0
@@ -393,7 +389,7 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 	camp := c.campaigns[req.Job]
 	// Claim the fresh runs under the lock; deliver them outside it (the
 	// store append fsyncs — too slow to serialize every worker behind).
-	var fresh []RunRecord
+	var fresh []farm.RunRecord
 	for _, rec := range req.Records {
 		if camp != nil && camp.failed == nil && camp.outstanding[rec.Run] {
 			delete(camp.outstanding, rec.Run)
@@ -410,7 +406,7 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 	accepted := 0
 	var deliverErr error
 	for _, rec := range fresh {
-		if err := camp.deliver(rec.Run, resultFromRecord(rec)); err != nil {
+		if err := camp.deliver(rec.Run, rec.Result()); err != nil {
 			deliverErr = fmt.Errorf("fleet: job %s run %d: %w", req.Job, rec.Run, err)
 			break
 		}

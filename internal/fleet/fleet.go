@@ -29,13 +29,7 @@
 //     count, shard boundaries, or how many leases expired along the way.
 package fleet
 
-import (
-	"sort"
-
-	"instantcheck/internal/farm"
-	"instantcheck/internal/ihash"
-	"instantcheck/internal/sim"
-)
+import "instantcheck/internal/farm"
 
 // LeaseInfo is one granted shard: the runs a worker must replay, the job
 // they belong to, and everything needed to execute them — the spec (which
@@ -75,29 +69,6 @@ type heartbeatResponse struct {
 	OK bool `json:"ok"`
 }
 
-// CheckpointRecord is one checkpoint's State Hash on the wire.
-type CheckpointRecord struct {
-	Ordinal int    `json:"ordinal"`
-	Label   string `json:"label"`
-	SH      uint64 `json:"sh"`
-}
-
-// OutputRecord is one output stream's hash on the wire.
-type OutputRecord struct {
-	FD    int    `json:"fd"`
-	Hash  uint64 `json:"hash"`
-	Bytes uint64 `json:"bytes"`
-}
-
-// RunRecord is one replayed run's complete hash-level result — exactly the
-// fields the store persists and report assembly compares, nothing else
-// travels.
-type RunRecord struct {
-	Run         int                `json:"run"`
-	Checkpoints []CheckpointRecord `json:"checkpoints"`
-	Outputs     []OutputRecord     `json:"outputs,omitempty"`
-}
-
 // resultsRequest streams a batch of finished runs back to the coordinator.
 type resultsRequest struct {
 	LeaseID string     `json:"lease_id"`
@@ -105,8 +76,8 @@ type resultsRequest struct {
 	Job     farm.JobID `json:"job"`
 	// Fetch reports the bundle cache outcome ("hit" or "miss"), set only on
 	// the shard's first batch.
-	Fetch   string      `json:"fetch,omitempty"`
-	Records []RunRecord `json:"records"`
+	Fetch   string           `json:"fetch,omitempty"`
+	Records []farm.RunRecord `json:"records"`
 	// Done marks the shard's final batch: the lease is released.
 	Done bool `json:"done"`
 }
@@ -117,45 +88,4 @@ type resultsRequest struct {
 type resultsResponse struct {
 	Accepted int  `json:"accepted"`
 	LeaseOK  bool `json:"lease_ok"`
-}
-
-// recordFromResult projects a run result to its wire form.
-func recordFromResult(run int, res *sim.Result) RunRecord {
-	rec := RunRecord{Run: run}
-	for _, cp := range res.Checkpoints {
-		rec.Checkpoints = append(rec.Checkpoints, CheckpointRecord{
-			Ordinal: cp.Ordinal, Label: cp.Label, SH: uint64(cp.SH),
-		})
-	}
-	fds := make([]int, 0, len(res.Outputs))
-	for fd := range res.Outputs {
-		fds = append(fds, fd)
-	}
-	sort.Ints(fds)
-	for _, fd := range fds {
-		o := res.Outputs[fd]
-		rec.Outputs = append(rec.Outputs, OutputRecord{FD: fd, Hash: o.Hash, Bytes: o.Bytes})
-	}
-	return rec
-}
-
-// resultFromRecord reconstructs the checker-run result a record describes.
-// It mirrors farm.RunLog.Result — the proven-sufficient reconstruction the
-// daemon's resume path already trusts for byte-identical reports.
-func resultFromRecord(rec RunRecord) *sim.Result {
-	res := &sim.Result{}
-	for _, cp := range rec.Checkpoints {
-		res.Checkpoints = append(res.Checkpoints, sim.Checkpoint{
-			Ordinal: cp.Ordinal, Label: cp.Label, SH: ihash.Digest(cp.SH),
-		})
-	}
-	if len(rec.Outputs) > 0 {
-		res.Outputs = make(map[int]sim.OutputStream, len(rec.Outputs))
-		for _, o := range rec.Outputs {
-			res.Outputs[o.FD] = sim.OutputStream{Hash: o.Hash, Bytes: o.Bytes}
-			res.OutputBytes += o.Bytes
-		}
-	}
-	res.OutputHash = res.Outputs[sim.Stdout].Hash
-	return res
 }

@@ -156,13 +156,13 @@ func TestCoordinatorProtocol(t *testing.T) {
 		t.Fatalf("first lease = %+v", li)
 	}
 
-	records := make([]RunRecord, 0, len(li.Runs))
+	records := make([]farm.RunRecord, 0, len(li.Runs))
 	for _, run := range li.Runs {
 		res, err := runner.Replay(run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		records = append(records, recordFromResult(run, res))
+		records = append(records, farm.NewRunRecord(run, res))
 	}
 	req := &resultsRequest{LeaseID: li.LeaseID, Worker: "wA", Job: li.Job, Fetch: "miss", Records: records}
 	accepted, ok := c.acceptResults(req, 100)
@@ -195,7 +195,7 @@ func TestCoordinatorProtocol(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partial = append(partial, recordFromResult(run, res))
+		partial = append(partial, farm.NewRunRecord(run, res))
 	}
 	accepted, ok = c.acceptResults(&resultsRequest{
 		LeaseID: li2.LeaseID, Worker: "wA", Job: li2.Job, Records: partial, Done: true,
@@ -213,13 +213,13 @@ func TestCoordinatorProtocol(t *testing.T) {
 		if li == nil {
 			break
 		}
-		var recs []RunRecord
+		var recs []farm.RunRecord
 		for _, run := range li.Runs {
 			res, err := runner.Replay(run)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs = append(recs, recordFromResult(run, res))
+			recs = append(recs, farm.NewRunRecord(run, res))
 		}
 		c.acceptResults(&resultsRequest{
 			LeaseID: li.LeaseID, Worker: "wB", Job: li.Job, Records: recs, Done: true,
@@ -358,14 +358,15 @@ func singleNodeReport(t *testing.T, spec farm.JobSpec) []byte {
 
 // TestFleetMatchesSingleNode is the subsystem's north star: a campaign
 // sharded across four worker processes produces a report byte-identical to
-// the single-node daemon's.
+// the single-node daemon's. Its 7 replay runs split into shards of 5 and
+// 2, so the first shard also sends a non-final results batch.
 func TestFleetMatchesSingleNode(t *testing.T) {
 	d := startFleetDaemon(t, filepath.Join(t.TempDir(), "fleet.log"),
-		CoordinatorOptions{ShardSize: 3, LeaseTTL: 5 * time.Second, Logf: t.Logf})
+		CoordinatorOptions{ShardSize: 5, LeaseTTL: 5 * time.Second, Logf: t.Logf})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
 	for _, name := range []string{"w0", "w1", "w2", "w3"} {
-		d.addWorker(t, ctx, WorkerOptions{Name: name, BatchSize: 2})
+		d.addWorker(t, ctx, WorkerOptions{Name: name})
 	}
 
 	for _, app := range []string{"fft", "lu"} {
@@ -404,7 +405,7 @@ func TestFleetExploreJobPassthrough(t *testing.T) {
 		CoordinatorOptions{ShardSize: 3, LeaseTTL: 5 * time.Second, Logf: t.Logf})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
-	d.addWorker(t, ctx, WorkerOptions{Name: "w0", BatchSize: 2})
+	d.addWorker(t, ctx, WorkerOptions{Name: "w0"})
 
 	spec := farm.JobSpec{
 		App:            "waterSP",

@@ -3,8 +3,8 @@ package fleet
 import "instantcheck/internal/obs"
 
 // metrics holds the coordinator-side checkfleet families. They live on
-// their own registry (or one the caller provides) so a daemon embedding
-// both the farm and a coordinator merges the two with obs.MergedHandler —
+// the coordinator's own registry so a daemon embedding both the farm and
+// a coordinator merges the two with obs.MergedHandler —
 // obs.LintMerged rejects any name collision between them at startup. The
 // scrape-time gauges (workers live, leases/campaigns active, per-worker
 // liveness) are registered by NewCoordinator, which owns the state they

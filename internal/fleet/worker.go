@@ -12,7 +12,18 @@ import (
 	"time"
 
 	"instantcheck/internal/core"
+	"instantcheck/internal/farm"
 	"instantcheck/internal/replay"
+)
+
+const (
+	// batchSize is the number of run records per results POST.
+	batchSize = 4
+	// maxInFlight bounds the run records buffered between the replay
+	// executor and the sender, in batches: when a slow coordinator leaves
+	// that many batches unacknowledged, replay execution blocks —
+	// backpressure instead of unbounded buffering.
+	maxInFlight = 2
 )
 
 // WorkerOptions configures one worker-node loop.
@@ -31,14 +42,6 @@ type WorkerOptions struct {
 	// PollInterval is the idle sleep between lease requests that found no
 	// work (<= 0 selects 100ms).
 	PollInterval time.Duration
-	// BatchSize is the number of run records per results POST (<= 0
-	// selects 4).
-	BatchSize int
-	// MaxInFlight bounds the run records buffered between the replay
-	// executor and the sender (in units of batches, <= 0 selects 2): when a
-	// slow coordinator leaves that many batches unacknowledged, replay
-	// execution blocks — backpressure instead of unbounded buffering.
-	MaxInFlight int
 	// RunLatency, when positive, sleeps this long before each replay run.
 	// It exists for benchmarks and tests only: on a single machine it
 	// emulates the per-run latency of a remote execution backend, which is
@@ -61,12 +64,6 @@ func (o WorkerOptions) withDefaults() (WorkerOptions, error) {
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 100 * time.Millisecond
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 4
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 2
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -156,8 +153,8 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 	}()
 
 	// The record channel is the backpressure bound: the replay executor
-	// blocks once MaxInFlight batches' worth of records await the sender.
-	records := make(chan RunRecord, w.o.BatchSize*w.o.MaxInFlight)
+	// blocks once maxInFlight batches' worth of records await the sender.
+	records := make(chan farm.RunRecord, batchSize*maxInFlight)
 	senderDone := make(chan error, 1)
 	go func() {
 		senderDone <- w.sendResults(shardCtx, li, fetch, records)
@@ -177,7 +174,7 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 			break
 		}
 		select {
-		case records <- recordFromResult(run, res):
+		case records <- farm.NewRunRecord(run, res):
 			executed++
 		case <-shardCtx.Done():
 		}
@@ -199,9 +196,9 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 // sendResults drains the record channel into batched POSTs, the final batch
 // flagged Done so the coordinator releases the lease promptly. A batch the
 // coordinator answers with lease_ok=false aborts the shard.
-func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, records <-chan RunRecord) error {
+func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, records <-chan farm.RunRecord) error {
 	first := true
-	var batch []RunRecord
+	var batch []farm.RunRecord
 	flush := func(done bool) error {
 		if len(batch) == 0 && !done {
 			return nil
@@ -229,7 +226,7 @@ func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, r
 	}
 	for rec := range records {
 		batch = append(batch, rec)
-		if len(batch) >= w.o.BatchSize {
+		if len(batch) >= batchSize {
 			if err := flush(false); err != nil {
 				// Drain so the executor never blocks on a dead sender.
 				for range records {

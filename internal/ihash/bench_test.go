@@ -85,37 +85,4 @@ func BenchmarkWriteBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkWriteScattered measures the store-buffer drain kernel — the
-// scattered-address sibling of WriteBatch — against the per-word loop it
-// batches.
-func BenchmarkWriteScattered(b *testing.B) {
-	const words = 512
-	addrs := make([]uint64, words)
-	olds := make([]uint64, words)
-	news := make([]uint64, words)
-	for i := range news {
-		addrs[i] = 0x10000 + uint64(i*i%4096)*8 // non-contiguous
-		olds[i] = uint64(i) * 3
-		news[i] = uint64(i) * 7
-	}
-	b.Run("scattered", func(b *testing.B) {
-		a := NewAccumulator(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a.WriteScattered(addrs, olds, news)
-		}
-		benchSink = a.Value()
-	})
-	b.Run("perword", func(b *testing.B) {
-		a := NewAccumulator(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range news {
-				a.Write(addrs[j], olds[j], news[j])
-			}
-		}
-		benchSink = a.Value()
-	})
-}
-
 var benchSink Digest

@@ -94,37 +94,6 @@ func (c *ZeroSumCache) Len() int { return len(c.m) }
 // Hasher returns the location hash the cache computes over.
 func (c *ZeroSumCache) Hasher() Hasher { return c.h }
 
-// WriteScattered returns Σᵢ ⊖ h(addrs[i], olds[i]) ⊕ h(addrs[i], news[i])
-// over parallel slices of unrelated addresses: the scattered sibling of
-// WriteBatch, for callers — the MHM store-buffer drain — whose batched
-// updates target arbitrary words rather than one contiguous run. Because ⊕
-// is an abelian group operation the returned delta is bit-identical to
-// applying the i updates one at a time, in any order. Like the other batch
-// kernels it devirtualizes the per-word hash for the default hasher.
-func WriteScattered(h Hasher, addrs, olds, news []uint64) Digest {
-	if len(olds) != len(addrs) || len(news) != len(addrs) {
-		panic("ihash: WriteScattered length mismatch")
-	}
-	var d Digest
-	if _, ok := h.(Mix64); ok {
-		var mh Mix64
-		for i, a := range addrs {
-			d = d.Subtract(mh.HashWord(a, olds[i])).Combine(mh.HashWord(a, news[i]))
-		}
-		return d
-	}
-	for i, a := range addrs {
-		d = d.Subtract(h.HashWord(a, olds[i])).Combine(h.HashWord(a, news[i]))
-	}
-	return d
-}
-
-// WriteScattered applies a batch of scattered word updates to the
-// accumulator: for each i, d = d ⊖ h(addrs[i], olds[i]) ⊕ h(addrs[i], news[i]).
-func (a *Accumulator) WriteScattered(addrs, olds, news []uint64) {
-	a.d = a.d.Combine(WriteScattered(a.h, addrs, olds, news))
-}
-
 // WriteBatch applies one contiguous run of word updates to the accumulator:
 // for each i, d = d ⊖ h(base+i*8, olds[i]) ⊕ h(base+i*8, news[i]). A nil
 // olds means the words are entering the tracked state (pure insertion, the

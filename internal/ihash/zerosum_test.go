@@ -84,39 +84,3 @@ func TestWriteBatchLengthMismatch(t *testing.T) {
 	}()
 	NewAccumulator(nil).WriteBatch(0, []uint64{1}, []uint64{1, 2})
 }
-
-// TestWriteScattered checks the scattered-batch update equals per-word
-// Writes for arbitrary (non-contiguous, duplicated) addresses, on both the
-// devirtualized Mix64 path and the generic interface path.
-func TestWriteScattered(t *testing.T) {
-	addrs := []uint64{0x3000, 0x9f18, 0x3000, 0x4008, 0x10_0000}
-	olds := []uint64{1, 2, 9, 4, 5}
-	news := []uint64{9, 2, 0, 4, 7}
-
-	for _, h := range []Hasher{nil, CRC64{}} {
-		ref := NewAccumulator(h)
-		ref.SetValue(12345)
-		for i := range addrs {
-			ref.Write(addrs[i], olds[i], news[i])
-		}
-		got := NewAccumulator(h)
-		got.SetValue(12345)
-		got.WriteScattered(addrs, olds, news)
-		if got.Value() != ref.Value() {
-			t.Fatalf("hasher %T: WriteScattered = %v, per-word = %v", h, got.Value(), ref.Value())
-		}
-	}
-	if WriteScattered(Mix64{}, nil, nil, nil) != Zero {
-		t.Fatal("empty scattered batch must be the identity")
-	}
-}
-
-// TestWriteScatteredLengthMismatch pins the panic on ragged slices.
-func TestWriteScatteredLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	WriteScattered(Mix64{}, []uint64{1, 2}, []uint64{1}, []uint64{1, 2})
-}

@@ -147,11 +147,10 @@ func (u *Unit) applyPair(addr, old, new uint64, isFP bool) {
 	u.accumulate(ihash.Digest(u.hasher.HashWord(addr, new)))
 }
 
-// drain hashes every pending entry in one pass over the table — the
-// scattered-batch kernel run in place, with the location hash devirtualized
-// for the default Mix64 (the same specialization ihash.WriteScattered and
-// the WriteBatch/BatchInsert kernels apply; here the batch is consumed
-// straight out of the slots, with no gather copy). The whole batch enters
+// drain hashes every pending entry in one pass over the table, straight
+// out of the slots with no gather copy, with the location hash
+// devirtualized for the default Mix64 (the same specialization the
+// WriteBatch/BatchInsert kernels apply). The whole batch enters
 // the datapath as a single dispatched term — legal, like every reordering
 // here, because ⊕ is commutative and associative (§3.2).
 func (u *Unit) drain() {
@@ -208,15 +207,4 @@ func (u *Unit) drain() {
 	u.stats.DrainedWords += drained
 	u.stats.ElidedWords += elided
 	u.accumulate(sum)
-}
-
-// OnStoreBatch applies a batch of scattered, already-rounded word updates:
-// for each i, TH = TH ⊖ h(addrs[i], olds[i]) ⊕ h(addrs[i], news[i]). It is
-// the gathered entry point to the same scattered-batch path drain runs over
-// the buffer slots — the scattered sibling of the contiguous
-// WriteBatch/BatchInsert kernels, for callers that hold their updates in
-// parallel slices.
-func (u *Unit) OnStoreBatch(addrs, olds, news []uint64) {
-	u.stats.DrainedWords += uint64(len(addrs))
-	u.accumulate(ihash.WriteScattered(u.hasher, addrs, olds, news))
 }

@@ -79,7 +79,6 @@ type Env struct {
 	src     *rand.Rand
 	streams map[envKey][]uint64
 	cursor  map[envKey]int
-	record  bool
 }
 
 type envKey struct {
@@ -95,7 +94,6 @@ func NewEnv(inputSeed int64) *Env {
 		src:     rand.New(rand.NewSource(inputSeed)),
 		streams: make(map[envKey][]uint64),
 		cursor:  make(map[envKey]int),
-		record:  true,
 	}
 }
 

@@ -51,9 +51,8 @@ type Machine struct {
 
 	// pageSums caches per-page State-Hash contributions for dirty-page
 	// delta checkpoints. deltaReady reports the cache mirrors memory with
-	// the dirty bitmap cleared (set by the seeding full sweep, dropped by
-	// InvalidateTraverseCache); deltaPages is the per-sweep scratch list
-	// of dirty page numbers.
+	// the dirty bitmap cleared (set by the seeding full sweep); deltaPages
+	// is the per-sweep scratch list of dirty page numbers.
 	pageSums   *ihash.PageSumCache
 	deltaReady bool
 	deltaPages []uint64
@@ -448,12 +447,6 @@ func (m *Machine) hashRuns(runs []travRun, shards int) {
 	}
 	wg.Wait()
 }
-
-// InvalidateTraverseCache forces the next traversal checkpoint to run a
-// full (re-seeding) sweep. State surgery that bypasses the store path —
-// snapshot restores, external memory pokes in tests — must call it, since
-// the dirty bitmap cannot see such writes.
-func (m *Machine) InvalidateTraverseCache() { m.deltaReady = false }
 
 // hashRun returns Σ h(a, v) ⊖ Σ h(a, 0) for one run. It reads only
 // immutable machine state (hasher, rounding policy) and the quiescent
