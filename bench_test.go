@@ -206,6 +206,7 @@ func BenchmarkDetectorRun(b *testing.B) {
 		for _, mode := range []string{"on", "off"} {
 			mode := mode
 			b.Run(fmt.Sprintf("%s/detector=%s", app.Name, mode), func(b *testing.B) {
+				b.ReportAllocs()
 				env := replay.NewEnv(1)
 				addrLog := replay.NewAddrLog()
 				for i := 0; i < b.N; i++ {

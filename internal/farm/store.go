@@ -205,11 +205,17 @@ func OpenStore(path string) (*Store, error) {
 	}
 	s.w = bufio.NewWriter(f)
 	if end == 0 {
-		if err := s.appendLine(storeHeader); err != nil {
-			f.Close()
-			return nil, err
+		// The header is written but not synced: nothing reads it back (a
+		// log without one loads the same), and the first record's
+		// appendLine syncs the file anyway.
+		_, err = s.w.WriteString(storeHeader + "\n")
+		if err == nil {
+			err = s.w.Flush()
 		}
-	} else if err := s.terminateTornLine(end); err != nil {
+	} else {
+		err = s.terminateTornLine(end)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}

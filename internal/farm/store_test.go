@@ -176,6 +176,50 @@ func TestStoreCrashTolerance(t *testing.T) {
 	}
 }
 
+// TestStoreTornHeader checks a log whose header never fully reached the
+// disk, the crash shape an unsynced header can leave: it reopens, accepts
+// a job and a run, and reloads both.
+func TestStoreTornHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "farm.log")
+	if err := os.WriteFile(path, []byte("checkfarm-lo"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.NextID()
+	spec := JobSpec{App: "fft", Runs: 1}
+	if err := s.BeginJob(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRun(id, 0, testResult(10, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	jl := s2.Job(id)
+	if jl == nil {
+		t.Fatal("job lost on reload")
+	}
+	if !reflect.DeepEqual(jl.Spec, spec) {
+		t.Errorf("spec after reload = %+v, want %+v", jl.Spec, spec)
+	}
+	if got := jl.CompletedRuns(); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("completed runs after reload = %v", got)
+	}
+	if rl := jl.Run(0); len(rl.Checkpoints) != 2 || rl.Checkpoints[0].SH != 10 {
+		t.Errorf("run 0 after reload = %+v", rl)
+	}
+}
+
 // TestHashLogRoundTrip checks the interchange format: write, parse,
 // compare — including labels with spaces and quotes.
 func TestHashLogRoundTrip(t *testing.T) {

@@ -12,7 +12,7 @@ package racefilter
 // joins actually happen: thread clocks, lock release clocks, and barrier
 // episodes.
 //
-// Fast paths (no stack unwind, no map access, no allocation):
+// Fast paths (no pc lookup, no map access, no allocation):
 //
 //   - a read whose slot already has a read entry at the current epoch is a
 //     repeat of an access already processed — every race predicate it
@@ -29,7 +29,7 @@ package racefilter
 // actually race — takes the slow path, which pulls the source pc from the
 // reporting thread (sim.Thread.PC) for attribution. The pc recorded for
 // an epoch is the first access of that (thread, epoch); repeat accesses
-// in the same epoch are skipped before any unwind. Keeping attribution at
+// in the same epoch are skipped before any pc lookup. Keeping attribution at
 // epoch granularity matters: an entry that survived a synchronization
 // boundary with a stale pc could attribute a race to a lock-protected
 // access from before the sync, which the static cross-check would
@@ -58,8 +58,8 @@ func epochSlot(e uint64) int { return int(e >> epochSlotShift) }
 func epochClock(e uint64) uint64 { return e & epochClockMask }
 
 // pcer supplies the source pc of the access being processed. sim.Thread
-// implements it with a lazy stack unwind; the differential fuzzer feeds
-// synthetic pcs through it.
+// implements it with the site its accessor recorded; the differential
+// fuzzer feeds synthetic pcs through it.
 type pcer interface{ PC() uintptr }
 
 // Detector is the epoch-based happens-before race detector implementing
@@ -82,7 +82,7 @@ type Detector struct {
 // detector benchmarks assert the fast paths dominate.
 type DetectorStats struct {
 	// ReadFast / WriteFast count same-epoch accesses short-circuited
-	// without unwinding; ReadSlow / WriteSlow count first-of-epoch or
+	// without a pc lookup; ReadSlow / WriteSlow count first-of-epoch or
 	// potentially racing accesses that ran the full HB checks.
 	ReadFast, ReadSlow   uint64
 	WriteFast, WriteSlow uint64

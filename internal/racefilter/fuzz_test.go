@@ -18,7 +18,7 @@ import (
 )
 
 // fakePC feeds a synthetic access pc through the pcer seam, standing in
-// for the lazy sim.Thread.PC unwind.
+// for sim.Thread.PC.
 type fakePC uintptr
 
 func (f fakePC) PC() uintptr { return uintptr(f) }

@@ -13,7 +13,7 @@
 //     a dense shadow-page directory (see epoch.go and shadow.go), fed by
 //     the simulator's event stream — the baseline race detector
 //     InstantCheck would piggyback on. Same-epoch repeat accesses
-//     short-circuit in O(1) with no stack unwinding, so detection runs
+//     short-circuit in O(1) with no pc lookup, so detection runs
 //     cost close to plain check runs. The package tests pin it
 //     observationally identical to a vector-clock reference detector, on
 //     fuzzed event traces and on every workload's real event stream.

@@ -2,13 +2,9 @@
 
 package sim
 
-// fpchain captures up to 8 raw return addresses by walking the frame-
-// pointer chain from the caller's frame, exactly as the runtime's own
-// execution tracer unwinds (Go keeps frame pointers on amd64 in every
-// non-leaf frame). It returns the number of frames captured; the walk
-// stops early at a zero link, so a short count means the chain ended
-// (goroutine root) or was broken — callers must fall back to
-// runtime.Callers in that case.
+// fpchain returns its caller's return address, read through the frame
+// pointer Go keeps on amd64 in every non-leaf frame. Called from a Thread
+// accessor, that is the instrumented access site.
 //
 // Implemented in fp_amd64.s.
-func fpchain(buf *[8]uintptr) int32
+func fpchain() uintptr

@@ -2,29 +2,11 @@
 
 #include "textflag.h"
 
-// func fpchain(buf *[8]uintptr) int32
+// func fpchain() uintptr
 //
-// Walk the frame-pointer chain. On entry BP is the caller's frame
-// pointer (callee-saved, untouched by this NOFRAME function): (BP) holds
-// the parent frame pointer and 8(BP) the caller's return address, the
-// same frame sequence runtime.Callers(2, ...) reports (minus inline
-// expansion, which the consumers of these pcs never rely on).
-TEXT ·fpchain(SB), NOSPLIT|NOFRAME, $0-12
-	MOVQ buf+0(FP), DI
-	MOVQ BP, AX
-	XORL CX, CX
-loop:
-	CMPQ CX, $8
-	JGE  done
-	TESTQ AX, AX
-	JZ   done
-	MOVQ 8(AX), DX
-	TESTQ DX, DX
-	JZ   done
-	MOVQ DX, (DI)(CX*8)
-	INCQ CX
-	MOVQ (AX), AX
-	JMP  loop
-done:
-	MOVL CX, ret+8(FP)
+// NOFRAME leaves BP as the caller's frame pointer: (BP) holds the saved
+// parent frame pointer and 8(BP) the caller's return address.
+TEXT ·fpchain(SB), NOSPLIT|NOFRAME, $0-8
+	MOVQ 8(BP), AX
+	MOVQ AX, ret+0(FP)
 	RET

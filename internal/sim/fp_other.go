@@ -2,7 +2,6 @@
 
 package sim
 
-// fpchain is the no-op stub for architectures without the assembly
-// frame-pointer walker; returning 0 frames makes Thread.PC fall back to
-// the runtime.Callers-based unwind.
-func fpchain(buf *[8]uintptr) int32 { return 0 }
+// fpchain is the stub for architectures without the assembly reader: a
+// zero site sends Thread.PC to the runtime.Callers-based unwind.
+func fpchain() uintptr { return 0 }

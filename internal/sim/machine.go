@@ -63,6 +63,9 @@ type Machine struct {
 	outputs    map[int]*OutputStream
 	outputData map[int][]byte
 
+	// accessorPCs memoizes isAccessorFrame per return address.
+	accessorPCs map[uintptr]bool
+
 	running  bool
 	finished bool
 }

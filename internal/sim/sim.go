@@ -162,11 +162,11 @@ const StoreBufferAutoWords = 256
 //
 // Access events carry the reporting *Thread rather than a captured program
 // counter: the source site of the access is pulled, not pushed. A listener
-// that needs it calls t.PC() — a stack unwind — from inside the callback,
-// and does so only on its slow path (a first access in an epoch, an actual
-// race report), so the common repeat access pays nothing for attribution.
-// t.PC() resolves to a file:line with SitePos, the same source sites the
-// static analyzers report.
+// that needs it calls t.PC() — the site the accessor recorded — from inside
+// the callback, and does so only on its slow path (a first access in an
+// epoch, an actual race report), so the common repeat access pays nothing
+// for attribution. t.PC() resolves to a file:line with SitePos, the same
+// source sites the static analyzers report.
 type EventListener interface {
 	// OnRead reports a data load by t; t.PC() identifies the source site.
 	OnRead(t *Thread, addr uint64)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"instantcheck/internal/fpround"
@@ -215,14 +217,26 @@ type errSentinel struct{}
 
 func (errSentinel) Error() string { return "sentinel" }
 
-// pcProbe asserts, on every data event, that the frame-pointer unwind
+// nopListener is an EventListener that ignores every event.
+type nopListener struct{}
+
+func (nopListener) OnRead(th *Thread, addr uint64)     {}
+func (nopListener) OnWrite(th *Thread, addr uint64)    {}
+func (nopListener) OnAcquire(tid int, mu *sched.Mutex) {}
+func (nopListener) OnRelease(tid int, mu *sched.Mutex) {}
+func (nopListener) OnBarrier(ordinal int)              {}
+
+// pcProbe asserts, on every data event, that the recorded site
 // (Thread.PC) and the runtime.Callers unwind (Thread.CallersPC) resolve
 // the same access pc — the property that lets the epoch detector pull
-// through the cheap walk while the reference detector keeps the
-// baseline's capture without diverging on attribution.
+// the cheap recorded site while the reference detector keeps the
+// baseline's capture without diverging on attribution. It keeps each
+// thread's pcs next to the lines at marked for it.
 type pcProbe struct {
-	t   *testing.T
-	pcs []uintptr
+	nopListener
+	t    *testing.T
+	pcs  map[int][]uintptr
+	want map[int][]int
 }
 
 func (p *pcProbe) check(th *Thread) {
@@ -230,44 +244,133 @@ func (p *pcProbe) check(th *Thread) {
 	if fast == 0 || fast != slow {
 		p.t.Errorf("PC() = %#x, CallersPC() = %#x; want equal and nonzero", fast, slow)
 	}
-	p.pcs = append(p.pcs, fast)
+	p.pcs[th.TID()] = append(p.pcs[th.TID()], fast)
 }
 
-func (p *pcProbe) OnRead(th *Thread, addr uint64)     { p.check(th) }
-func (p *pcProbe) OnWrite(th *Thread, addr uint64)    { p.check(th) }
-func (p *pcProbe) OnAcquire(tid int, mu *sched.Mutex) {}
-func (p *pcProbe) OnRelease(tid int, mu *sched.Mutex) {}
-func (p *pcProbe) OnBarrier(ordinal int)              {}
+func (p *pcProbe) OnRead(th *Thread, addr uint64)  { p.check(th) }
+func (p *pcProbe) OnWrite(th *Thread, addr uint64) { p.check(th) }
+
+// at notes the line it is called from as th's next access site and
+// returns addr: wrapping an accessor's address argument in it names the
+// line of that accessor call.
+func (p *pcProbe) at(th *Thread, addr uint64) uint64 {
+	_, _, line, _ := runtime.Caller(1)
+	p.want[th.TID()] = append(p.want[th.TID()], line)
+	return addr
+}
+
+// dataAccessor is the integer-access subset of *Thread.
+type dataAccessor interface {
+	Load(addr uint64) uint64
+	Store(addr, value uint64)
+}
+
+// asAccessor and methodValues hide th from the compiler, so calls through
+// their results stay an interface call and method-value calls (through
+// the autogenerated (*Thread).Store-fm and Load-fm wrappers) instead of
+// being devirtualized into direct calls.
+//
+//go:noinline
+func asAccessor(th *Thread) dataAccessor { return th }
+
+//go:noinline
+func methodValues(th *Thread) (func(addr, value uint64), func(addr uint64) uint64) {
+	return th.Store, th.Load
+}
 
 // TestPCUnwindersAgree pins the two pc-capture paths against each other
-// through real accessor frames (Load, Store, LoadF, StoreF, from both the
-// setup thread and workers) and checks the pcs resolve into this file.
+// and against the exact line of each access, for every way a program can
+// call an accessor: directly, through an interface, as a method
+// expression and as a method value. The accesses run on the setup thread
+// and on workers (LoadF, StoreF), and PC reads 0 outside an access event.
 func TestPCUnwindersAgree(t *testing.T) {
-	probe := &pcProbe{t: t}
+	probe := &pcProbe{t: t, pcs: map[int][]uintptr{}, want: map[int][]int{}}
+	noSite := func(th *Thread, after string) {
+		if pc := th.PC(); pc != 0 {
+			t.Errorf("thread %d: PC() = %#x after %s, want 0 outside an event", th.TID(), pc, after)
+		}
+	}
 	var f uint64
 	p := &funcProg{nt: 2,
 		setup: func(th *Thread) {
 			w := th.AllocStatic("static:w", 2, mem.KindWord)
 			f = th.AllocStatic("static:f", 2, mem.KindFloat)
-			th.Store(w, 7)
-			_ = th.Load(w)
+			th.Store(probe.at(th, w), 7)
+			noSite(th, "Store")
+			_ = th.Load(probe.at(th, w))
+			noSite(th, "Load")
+			a := asAccessor(th)
+			a.Store(probe.at(th, w), 8)
+			_ = a.Load(probe.at(th, w))
+			(*Thread).Store(th, probe.at(th, w), 9)
+			_ = (*Thread).Load(th, probe.at(th, w))
+			st, ld := methodValues(th)
+			st(probe.at(th, w), 10)
+			_ = ld(probe.at(th, w))
 		},
 		worker: func(th *Thread) {
 			base := f + uint64(th.TID())*8
-			th.StoreF(base, 1.5)
-			_ = th.LoadF(base)
+			th.StoreF(probe.at(th, base), 1.5)
+			noSite(th, "StoreF")
+			_ = th.LoadF(probe.at(th, base))
+			noSite(th, "LoadF")
 		},
 	}
 	m := NewMachine(Config{Threads: 2, ScheduleSeed: 1, Scheme: HWInc, Events: probe})
 	if _, err := m.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if len(probe.pcs) != 6 {
-		t.Fatalf("%d events observed, want 6", len(probe.pcs))
+	if len(probe.want[-1]) != 8 || len(probe.want[0]) != 2 || len(probe.want[1]) != 2 {
+		t.Fatalf("marked sites %v, want 8 setup and 2 per worker", probe.want)
 	}
-	for _, pc := range probe.pcs {
-		if file, line := SitePos(pc); file == "" || line == 0 {
-			t.Errorf("pc %#x does not resolve to a source position", pc)
+	for tid, lines := range probe.want {
+		pcs := probe.pcs[tid]
+		if len(pcs) != len(lines) {
+			t.Errorf("thread %d: %d events observed, want %d", tid, len(pcs), len(lines))
+			continue
 		}
+		for i, pc := range pcs {
+			file, line := SitePos(pc)
+			if !strings.HasSuffix(file, "/thread_test.go") || line != lines[i] {
+				t.Errorf("thread %d access %d: pc %#x resolves to %s:%d, want thread_test.go:%d", tid, i, pc, file, line, lines[i])
+			}
+		}
+	}
+}
+
+// allocProbe measures, inside the first write event, what one PC call
+// allocates.
+type allocProbe struct {
+	nopListener
+	allocs float64
+	pc     uintptr
+}
+
+func (p *allocProbe) OnWrite(th *Thread, addr uint64) {
+	if p.allocs < 0 {
+		p.allocs = testing.AllocsPerRun(100, func() { p.pc = th.PC() })
+	}
+}
+
+// TestPCAllocatesNothing pins that pulling the access site inside a
+// listener allocates nothing once the run has resolved that site.
+func TestPCAllocatesNothing(t *testing.T) {
+	probe := &allocProbe{allocs: -1}
+	p := &funcProg{nt: 1,
+		setup: func(th *Thread) {
+			w := th.AllocStatic("static:w", 1, mem.KindWord)
+			th.Store(w, 1)
+		},
+		worker: func(th *Thread) {},
+	}
+	m := NewMachine(Config{Threads: 1, ScheduleSeed: 1, Scheme: HWInc, Events: probe})
+	if _, err := m.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	if probe.pc == 0 {
+		t.Fatal("PC() inside the write event = 0")
+	}
+	if probe.allocs != 0 {
+		t.Errorf("PC() allocates %v times per call inside a listener, want 0", probe.allocs)
 	}
 }
