@@ -49,7 +49,7 @@ explore-smoke:
 # strategy on the three seeded Figure 7 bugs at equal budget (the table in
 # EXPERIMENTS.md, "Exploration efficiency").
 exploreeff:
-	$(GO) run ./cmd/instantcheck exploreeff -small -runs 40 -threads 4 -input 1
+	$(GO) run ./cmd/instantcheck exploreeff -small -input 1
 
 table1:
 	$(GO) run ./cmd/instantcheck table1

@@ -1,8 +1,10 @@
 package instantcheck
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"instantcheck/internal/racefilter"
 	"instantcheck/internal/replay"
@@ -352,16 +354,34 @@ func BenchmarkRaceClassification(b *testing.B) {
 // BenchmarkFarmThroughput compares a checking campaign on a replay pool of
 // one (the paper's loop: one run after another) against wider pools on
 // the same campaign. Runs of a campaign are independent once the recording
-// run finishes, so wall-clock should shrink toward 1/Parallelism while the
+// run finishes, so wall-clock should shrink toward 1/width while the
 // report stays identical — the farm's run-level scaling claim.
 func BenchmarkFarmThroughput(b *testing.B) {
 	app := WorkloadByName("radix")
-	for _, par := range []int{1, 2, 4, 8} {
-		par := par
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
+	camp := Campaign{Runs: 30, Threads: 8}
+	var replays []int
+	for run := 1; run < camp.Runs; run++ {
+		replays = append(replays, run)
+	}
+	for _, width := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("parallelism=%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				camp := Campaign{Runs: 30, Threads: 8, Parallelism: par}
-				rep, err := Check(camp, app.Builder(WorkloadOptions{}))
+				r, err := camp.NewRunner(app.Builder(WorkloadOptions{}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				results := make([]*sim.Result, camp.Runs)
+				if results[0], err = r.Record(); err != nil {
+					b.Fatal(err)
+				}
+				err = r.ReplayAll(context.Background(), replays, width, func(run int, res *sim.Result, _ time.Duration) error {
+					results[run] = res
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := camp.Assemble(r.Name(), results)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,11 +15,14 @@
 //	instantcheck all    [flags]           # everything above
 //	instantcheck remote [-server URL] ... # drive a checkd daemon (see remote.go)
 //
-// Flags: -runs N (default 30), -threads N (default 8), -small (reduced
-// inputs), -seed S, -input S.
+// Flags: -runs N and -threads N (0, the default, selects the experiment's
+// own: 30 runs on 8 threads per campaign, 10 runs for races, a 40-run
+// budget on 4 threads for exploreeff), -small (reduced inputs), -json
+// (print the rows as JSON), -seed S, -input S.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,31 +45,12 @@ func main() {
 		}
 		return
 	}
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	runs := fs.Int("runs", 30, "test runs per campaign")
-	threads := fs.Int("threads", 8, "worker threads per run")
-	small := fs.Bool("small", false, "reduced inputs (fast)")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
-	seed := fs.Int64("seed", 0, "base schedule seed")
-	input := fs.Int64("input", 0, "input seed for replayed library calls")
-	args := os.Args[2:]
-	var target string
-	if cmd == "check" || cmd == "races" {
-		if len(args) == 0 {
-			fmt.Fprintf(os.Stderr, "usage: instantcheck %s <app> [flags]\n", cmd)
-			os.Exit(2)
-		}
-		target, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
+	target, cfg, asJSON, err := parseArgs(cmd, os.Args[2:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg := instantcheck.ExperimentConfig{
-		Runs: *runs, Threads: *threads, Small: *small,
-		BaseSeed: *seed, InputSeed: *input,
-	}
 
-	var err error
 	switch cmd {
 	case "list":
 		err = list()
@@ -75,19 +59,19 @@ func main() {
 	case "races":
 		err = races(target, cfg)
 	case "table1":
-		err = table1(cfg, *asJSON)
+		err = table1(cfg, asJSON)
 	case "table2":
-		err = table2(cfg, *asJSON)
+		err = table2(cfg, asJSON)
 	case "fig5":
-		err = fig5(cfg, *asJSON)
+		err = fig5(cfg, asJSON)
 	case "fig6":
-		err = fig6(cfg, *asJSON)
+		err = fig6(cfg, asJSON)
 	case "fig8":
-		err = fig8(cfg, *asJSON)
+		err = fig8(cfg, asJSON)
 	case "exploreeff":
-		err = exploreeff(cfg, *asJSON)
+		err = exploreeff(cfg, asJSON)
 	case "all":
-		err = all(cfg, *asJSON)
+		err = all(cfg, asJSON)
 	default:
 		usage()
 		os.Exit(2)
@@ -98,9 +82,41 @@ func main() {
 	}
 }
 
+// parseArgs splits an experiment verb's arguments into its workload (check
+// and races take one) and its flags. A malformed flag exits with status 2.
+func parseArgs(cmd string, args []string) (target string, cfg instantcheck.ExperimentConfig, asJSON bool, err error) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	runs := fs.Int("runs", 0, "test runs per campaign (0: the experiment's default)")
+	threads := fs.Int("threads", 0, "worker threads per run (0: the experiment's default)")
+	small := fs.Bool("small", false, "reduced inputs (fast)")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
+	seed := fs.Int64("seed", 0, "base schedule seed")
+	input := fs.Int64("input", 0, "input seed for replayed library calls")
+	if cmd == "check" || cmd == "races" {
+		if len(args) == 0 {
+			return "", cfg, false, fmt.Errorf("usage: instantcheck %s <app> [flags]", cmd)
+		}
+		target, args = args[0], args[1:]
+	}
+	fs.Parse(args) // ExitOnError: returns only on success
+	cfg = instantcheck.ExperimentConfig{
+		Runs: *runs, Threads: *threads, Small: *small,
+		BaseSeed: *seed, InputSeed: *input,
+	}
+	return target, cfg, *jsonOut, nil
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: instantcheck <list|check <app>|races <app>|table1|table2|fig5|fig6|fig8|exploreeff|all> [-runs N] [-threads N] [-small] [-seed S] [-input S]
+	fmt.Fprintln(os.Stderr, `usage: instantcheck <list|check <app>|races <app>|table1|table2|fig5|fig6|fig8|exploreeff|all> [-runs N] [-threads N] [-small] [-json] [-seed S] [-input S]
+       (-runs 0 and -threads 0, the defaults, select the experiment's default)
        instantcheck remote [-server URL] <submit|status|report|jobs|hashlog|compare|cancel|stats> [args]`)
+}
+
+// emitJSON prints v, the experiment's rows, as indented JSON.
+func emitJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // races runs the §6.1 application: detect data races and classify each
@@ -189,7 +205,7 @@ func table1(cfg instantcheck.ExperimentConfig, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		return emitJSON(table1ToJSON(rows))
+		return emitJSON(rows)
 	}
 	fmt.Printf("Table 1: determinism characteristics (%d runs, %d threads)\n", orDefault(cfg.Runs, 30), orDefault(cfg.Threads, 8))
 	fmt.Print(instantcheck.FormatTable1(rows))
@@ -203,7 +219,7 @@ func table2(cfg instantcheck.ExperimentConfig, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		return emitJSON(table2ToJSON(rows))
+		return emitJSON(rows)
 	}
 	fmt.Println("Table 2: seeded-bug detection")
 	fmt.Print(instantcheck.FormatTable2(rows))
@@ -220,7 +236,7 @@ func exploreeff(cfg instantcheck.ExperimentConfig, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		return emitJSON(exploreeffToJSON(rows))
+		return emitJSON(rows)
 	}
 	fmt.Println("Exploration efficiency: median runs to first State-Hash divergence")
 	fmt.Print(instantcheck.FormatExploreEfficiency(rows))
@@ -234,7 +250,7 @@ func fig5(cfg instantcheck.ExperimentConfig, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		return emitJSON(distToJSON(ds))
+		return emitJSON(ds)
 	}
 	fmt.Println("Figure 5: distribution of nondeterminism points")
 	fmt.Print(instantcheck.FormatDistributions(ds))
@@ -247,7 +263,7 @@ func fig6(cfg instantcheck.ExperimentConfig, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		return emitJSON(overheadToJSON(rows))
+		return emitJSON(rows)
 	}
 	fmt.Println("Figure 6: instructions executed, normalized to Native")
 	fmt.Print(instantcheck.FormatFigure6(rows))
@@ -260,7 +276,7 @@ func fig8(cfg instantcheck.ExperimentConfig, asJSON bool) error {
 		return err
 	}
 	if asJSON {
-		return emitJSON(distToJSON(ds))
+		return emitJSON(ds)
 	}
 	fmt.Println("Figure 8: seeded-bug nondeterminism distributions")
 	fmt.Print(instantcheck.FormatDistributions(ds))

@@ -57,3 +57,25 @@ func TestTable1Command(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlagDefaultsDeferToExperiment pins that -runs and -threads default to
+// 0, so each verb falls back to its own experiment's default: races
+// classifies over 10 schedules and exploreeff searches a 40-run budget on 4
+// threads, not the campaign verbs' 30 runs on 8 threads.
+func TestFlagDefaultsDeferToExperiment(t *testing.T) {
+	for _, args := range [][]string{{"races", "volrend"}, {"exploreeff", "-small"}} {
+		target, cfg, _, err := parseArgs(args[0], args[1:])
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if cfg.Runs != 0 || cfg.Threads != 0 {
+			t.Errorf("%v parsed to %d runs, %d threads; want 0, 0 (the experiment's default)", args, cfg.Runs, cfg.Threads)
+		}
+		if args[0] == "races" && target != "volrend" {
+			t.Errorf("races target = %q; want volrend", target)
+		}
+	}
+	if _, _, _, err := parseArgs("races", nil); err == nil {
+		t.Error("races without a workload accepted")
+	}
+}

@@ -36,11 +36,10 @@
 //   - a determinism-checking service, cmd/checkd (internal/farm): a
 //     daemon with a job queue, a worker pool that runs a campaign's
 //     independent runs in parallel (core's one replay pool, which
-//     Campaign.Check also runs on, Campaign.Parallelism wide; <= 1 is a
-//     pool of one), an append-only crash-tolerant hash-log
-//     store that resumes half-finished campaigns across restarts, and an
-//     HTTP API — driven by `instantcheck remote` — whose hash-log
-//     streams can be diffed across hosts;
+//     Campaign.Check also runs on, one run at a time), an append-only
+//     crash-tolerant hash-log store that resumes half-finished campaigns
+//     across restarts, and an HTTP API — driven by `instantcheck remote`
+//     — whose hash-log streams can be diffed across hosts;
 //   - an observability layer (internal/obs): stdlib-only counters,
 //     gauges and histograms with a Prometheus text exporter, served by
 //     checkd at /metrics alongside a JSON /healthz and opt-in

@@ -69,34 +69,34 @@ func (c ExperimentConfig) options() WorkloadOptions {
 // Table1Row reproduces one row of the paper's Table 1.
 type Table1Row struct {
 	// App and Source identify the workload.
-	App string
+	App string `json:"app"`
 	// Source is the originating suite.
-	Source string
+	Source string `json:"source"`
 	// FP reports whether the app performs FP operations (column 4).
-	FP bool
+	FP bool `json:"fp"`
 	// Class is the measured determinism class (the row group).
-	Class Class
+	Class Class `json:"class"`
 	// DetAsIs is column 5: bit-by-bit deterministic with no help.
-	DetAsIs bool
+	DetAsIs bool `json:"det_as_is"`
 	// FirstNDetRun is column 6 (0 = never detected).
-	FirstNDetRun int
+	FirstNDetRun int `json:"first_ndet_run"`
 	// FPImpact is column 7, e.g. "NDet → Det".
-	FPImpact string
+	FPImpact string `json:"fp_rounding_impact"`
 	// FirstNDetAfterFP is column 8 (0 = never detected after rounding).
-	FirstNDetAfterFP int
+	FirstNDetAfterFP int `json:"first_ndet_run_after_fp"`
 	// IsolationImpact is column 9 ("-" when no ignore set applies).
-	IsolationImpact string
+	IsolationImpact string `json:"isolation_impact"`
 	// DetPoints and NDetPoints are columns 10–11: dynamic checking points
 	// under the app's final configuration.
-	DetPoints int
+	DetPoints int `json:"det_points"`
 	// NDetPoints is column 11.
-	NDetPoints int
+	NDetPoints int `json:"ndet_points"`
 	// DetAtEnd is column 12.
-	DetAtEnd bool
+	DetAtEnd bool `json:"det_at_end"`
 	// Note carries the streamcluster ★ annotation.
-	Note string
+	Note string `json:"note,omitempty"`
 	// Char retains the underlying campaigns for drill-down.
-	Char *Characterization
+	Char *Characterization `json:"-"`
 }
 
 // Table1 reruns the paper's determinism characterization (§7.2.1) for all
@@ -187,17 +187,17 @@ func detWord(r *Report) string {
 // detection, §7.4).
 type Table2Row struct {
 	// App is the (formerly deterministic) host application.
-	App string
+	App string `json:"app"`
 	// Bug is the seeded bug type.
-	Bug BugKind
+	Bug BugKind `json:"bug"`
 	// DetPoints and NDetPoints count checking points with the bug seeded.
-	DetPoints int
+	DetPoints int `json:"det_points"`
 	// NDetPoints counts nondeterministic points created by the bug.
-	NDetPoints int
+	NDetPoints int `json:"ndet_points"`
 	// FirstNDetRun is when the bug's nondeterminism was first detected.
-	FirstNDetRun int
+	FirstNDetRun int `json:"first_ndet_run"`
 	// Report retains the campaign for drill-down (Figure 8 distributions).
-	Report *Report
+	Report *Report `json:"-"`
 }
 
 // table2Hosts maps the Figure 7 bugs to their host apps and the checking
@@ -245,10 +245,10 @@ func Table2(cfg ExperimentConfig) ([]Table2Row, error) {
 // distinct states observed per checkpoint group for one workload/config.
 type Distribution struct {
 	// App identifies the workload (plus bug/rounding annotations).
-	App string
+	App string `json:"app"`
 	// Groups lists distribution shapes with the number of checkpoints
 	// exhibiting each, most common first.
-	Groups []DistGroup
+	Groups []DistGroup `json:"groups"`
 }
 
 // Figure5 reruns the nondeterminism-distribution study of Figure 5:
@@ -442,23 +442,23 @@ func Characterize(c Campaign, build Builder, ignore *IgnoreSet) (*Characterizati
 // over independent trials, to surface the bug's State-Hash divergence.
 type ExploreEffRow struct {
 	// App and Bug identify the seeded Figure 7 bug.
-	App string
-	Bug BugKind
+	App string  `json:"app"`
+	Bug BugKind `json:"bug"`
 	// Strategy is the schedule-generation strategy measured.
-	Strategy string
+	Strategy string `json:"strategy"`
 	// Trials is the number of independent campaigns (distinct base seeds).
-	Trials int
+	Trials int `json:"trials"`
 	// Detected counts trials that found the divergence within the budget.
-	Detected int
+	Detected int `json:"detected"`
 	// MedianRuns is the median runs-to-detect; trials that miss count as
 	// budget+1, so a censored median reads as "more than the budget".
-	MedianRuns int
+	MedianRuns int `json:"median_runs"`
 	// Censored is true when the median trial missed — MedianRuns is then a
 	// lower bound, not a measurement.
-	Censored bool
+	Censored bool `json:"censored"`
 	// Speedup is the uniform baseline's median divided by this row's
 	// (1 for the baseline itself; a lower bound when uniform is censored).
-	Speedup float64
+	Speedup float64 `json:"speedup"`
 }
 
 // exploreEffIntervals sets the preemption interval per host app: rare

@@ -77,7 +77,10 @@ func (s RaceSite) FileLine() string {
 	return fmt.Sprintf("%s:%d", shortSitePath(s.Pos.Filename), s.Pos.Line)
 }
 
-// shortSitePath keeps the final directory and base name of a source path.
+// shortSitePath keeps the final directory and base name of a source path,
+// as sim.Site does for a dynamic access site (this package imports no
+// internal package, so it keeps its own copy; TestRaceCrossCheck pins
+// that the two agree).
 func shortSitePath(file string) string {
 	short := filepath.ToSlash(file)
 	parts := strings.Split(short, "/")

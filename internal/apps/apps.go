@@ -246,3 +246,7 @@ func assertf(cond bool, format string, args ...any) {
 		panic(fmt.Sprintf(format, args...))
 	}
 }
+
+// MarshalText encodes the bug kind as its String form, so JSON carries the
+// Table 2 name.
+func (b BugKind) MarshalText() ([]byte, error) { return []byte(b.String()), nil }

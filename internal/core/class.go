@@ -37,6 +37,10 @@ func (c Class) String() string {
 	}
 }
 
+// MarshalText encodes the class as its String form, so JSON carries the
+// Table 1 row-group name.
+func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
 // Characterization gathers the campaigns behind one Table 1 row.
 type Characterization struct {
 	// Program names the workload.

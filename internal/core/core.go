@@ -59,14 +59,6 @@ type Campaign struct {
 	// full state capture at the first differing checkpoint, for the
 	// state-diff debugging tool (§2.3). It costs two extra runs.
 	SnapshotDifferingRuns bool
-	// Parallelism is the width of the replay pool. The runs of a campaign
-	// are independent given the recording run's replay logs (§5), so the
-	// recording run executes first and alone, then up to Parallelism
-	// replay runs proceed at a time, each on a private clone of the logs.
-	// A replay run depends only on the recording and its run index, so the
-	// report does not depend on Parallelism. Values below 1 (including the
-	// zero value) select a pool of one.
-	Parallelism int
 }
 
 // withDefaults fills zero fields with the paper's defaults and rejects
@@ -83,9 +75,6 @@ func (c Campaign) withDefaults() (Campaign, error) {
 	}
 	if c.Threads < 0 {
 		return c, fmt.Errorf("core: campaign Threads = %d; want > 0", c.Threads)
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = 1
 	}
 	if c.Scheme == sim.Native {
 		c.Scheme = sim.HWInc
@@ -129,9 +118,9 @@ func (s CheckpointStat) DistKey() string {
 // group of Figure 5/8 ("156 checking points with distribution 16/11/3").
 type DistGroup struct {
 	// Distribution is the shared shape, descending.
-	Distribution []int
+	Distribution []int `json:"distribution"`
 	// Checkpoints is how many checkpoint ordinals exhibit it.
-	Checkpoints int
+	Checkpoints int `json:"checkpoints"`
 }
 
 // Report is the outcome of a campaign.
@@ -223,8 +212,10 @@ func (r *Report) NDetDistGroups() []DistGroup {
 }
 
 // Check runs the campaign and compares hashes across runs: the recording
-// run, then the replay runs on a pool of Parallelism workers (see
-// Runner.ReplayAll), then Assemble.
+// run, then the replay runs one after another (Runner.ReplayAll on a pool
+// of one), then Assemble. A replay run depends only on the recording and
+// its run index, so a wider pool, as the farm runs, yields the same
+// report.
 func (c Campaign) Check(build Builder) (*Report, error) {
 	r, err := c.NewRunner(build)
 	if err != nil {
@@ -239,7 +230,7 @@ func (c Campaign) Check(build Builder) (*Report, error) {
 	for run := 1; run < c.Runs; run++ {
 		replays = append(replays, run)
 	}
-	err = r.ReplayAll(context.TODO(), replays, c.Parallelism,
+	err = r.ReplayAll(context.TODO(), replays, 1,
 		func(run int, res *sim.Result, _ time.Duration) error {
 			results[run] = res
 			return nil

@@ -46,24 +46,24 @@ var DefaultCostModel = CostModel{
 // Figure 6, normalized to Native.
 type Overhead struct {
 	// Program names the workload.
-	Program string
+	Program string `json:"app"`
 	// NativeInstr is the native instruction count (the denominator).
-	NativeInstr uint64
+	NativeInstr uint64 `json:"native_instr"`
 	// HWInc, SWIncIdeal and SWTrIdeal are execution costs normalized to
 	// Native (1.0 = no overhead). The paper reports HW ≈ 1.003 average,
 	// SW-Inc-Ideal ≈ 3×, SW-Tr-Ideal ≈ 5× geometric mean.
-	HWInc float64
+	HWInc float64 `json:"hw_inc"`
 	// SWIncIdeal is the ideal lower bound for SW-InstantCheck_Inc.
-	SWIncIdeal float64
+	SWIncIdeal float64 `json:"sw_inc_ideal"`
 	// SWIncBuffered is SW-InstantCheck_Inc with the per-thread store
 	// buffer: every store pays the cheap buffer append, but the two hash
 	// applications are only charged for the pairs that survived
 	// coalescing and elision to reach the drain kernel (measured by the
 	// run's store-buffer counters). Equal to SWIncIdeal when the run was
 	// not buffered.
-	SWIncBuffered float64
+	SWIncBuffered float64 `json:"sw_inc_buffered"`
 	// SWTrIdeal is the ideal lower bound for SW-InstantCheck_Tr.
-	SWTrIdeal float64
+	SWTrIdeal float64 `json:"sw_tr_ideal"`
 }
 
 // Overheads evaluates the cost model on one run's counters. Any run's

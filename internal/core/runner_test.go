@@ -14,8 +14,8 @@ import (
 )
 
 // TestCampaignValidation checks withDefaults' input validation: negative
-// run and thread counts are rejected (zero still selects the paper
-// defaults), and Parallelism is clamped to at least 1.
+// run and thread counts are rejected, and zero still selects the paper
+// defaults.
 func TestCampaignValidation(t *testing.T) {
 	if _, err := (Campaign{Runs: -1}).Check(detBuilder()); err == nil || !strings.Contains(err.Error(), "Runs") {
 		t.Errorf("negative Runs not rejected: %v", err)
@@ -23,12 +23,9 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := (Campaign{Threads: -2}).withDefaults(); err == nil || !strings.Contains(err.Error(), "Threads") {
 		t.Errorf("negative Threads not rejected: %v", err)
 	}
-	c, err := Campaign{Parallelism: -5}.withDefaults()
+	c, err := Campaign{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Parallelism != 1 {
-		t.Errorf("Parallelism = %d; want clamped to 1", c.Parallelism)
 	}
 	if c.Runs != 30 || c.Threads != 8 {
 		t.Errorf("paper defaults not applied: %d runs, %d threads", c.Runs, c.Threads)
@@ -38,17 +35,12 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// normalizeCampaign erases the field that legitimately differs between two
-// pool widths of the same campaign.
-func normalizeCampaign(r *Report) {
-	r.Campaign.Parallelism = 1
-}
-
 // TestParallelEqualsSequential is the order-independence invariant at run
-// granularity: a campaign executed with a pool of concurrent replay
-// workers produces a byte-identical report to a pool of one, for a
-// deterministic program, a nondeterministic one, and one whose replay
-// runs draw past the recorded env stream.
+// granularity: a campaign whose replay runs execute on a pool of 8
+// concurrent workers assembles a report identical to Check's, which
+// replays on a pool of one, for a deterministic program, a
+// nondeterministic one, and one whose replay runs draw past the recorded
+// env stream.
 func TestParallelEqualsSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -60,13 +52,29 @@ func TestParallelEqualsSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			camp.Parallelism = 8
-			par, err := camp.Check(tc.build())
+			r, err := camp.NewRunner(tc.build())
 			if err != nil {
 				t.Fatal(err)
 			}
-			normalizeCampaign(seq)
-			normalizeCampaign(par)
+			results := make([]*sim.Result, camp.Runs)
+			if results[0], err = r.Record(); err != nil {
+				t.Fatal(err)
+			}
+			var replays []int
+			for run := 1; run < camp.Runs; run++ {
+				replays = append(replays, run)
+			}
+			err = r.ReplayAll(context.Background(), replays, 8, func(run int, res *sim.Result, _ time.Duration) error {
+				results[run] = res
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := camp.Assemble(r.Name(), results)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(seq, par) {
 				t.Errorf("8-wide pool's report differs from a pool of one's:\nseq: %+v\npar: %+v", seq, par)
 			}
@@ -285,8 +293,6 @@ func TestAssemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeCampaign(want)
-	normalizeCampaign(got)
 	if !reflect.DeepEqual(want, got) {
 		t.Error("assembled report differs from Check's")
 	}

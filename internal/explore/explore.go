@@ -125,8 +125,8 @@ func (d *scriptedDecider) SwitchBudget() int {
 }
 
 // Pick implements sched.Decider: scripted prefix first, then round-robin.
-func (d *scriptedDecider) Pick(n int) int {
-	i := len(d.trace)
+func (d *scriptedDecider) Pick(_ int, runnable []int) int {
+	i, n := len(d.trace), len(runnable)
 	choice := i % n
 	if i < len(d.prefix) {
 		choice = d.prefix[i]
@@ -140,7 +140,7 @@ func (d *scriptedDecider) Pick(n int) int {
 		}
 	}
 	d.trace = append(d.trace, decision{options: n, chosen: choice})
-	return choice
+	return runnable[choice]
 }
 
 // stateKey identifies a quiescent program state.

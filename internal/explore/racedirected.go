@@ -10,10 +10,6 @@ package explore
 // change the outcome.
 
 import (
-	"fmt"
-	"path/filepath"
-	"strings"
-
 	"instantcheck/internal/sched"
 	"instantcheck/internal/sim"
 )
@@ -35,38 +31,22 @@ func hintSites(hints []RaceHint) map[string]bool {
 	return sites
 }
 
-// shortSite keeps the final directory and base name of a source path,
-// matching the site identity of the static report.
-func shortSite(file string) string {
-	parts := strings.Split(filepath.ToSlash(file), "/")
-	if len(parts) > 2 {
-		parts = parts[len(parts)-2:]
-	}
-	return strings.Join(parts, "/")
-}
-
 // raceDirector is an EventListener that forces a scheduling decision
 // immediately before every access at a hinted site. OnRead/OnWrite fire
 // before the operation commits, so the preemption lands inside the racy
 // window (between a load and the store of an unlocked read-modify-write,
-// for example) rather than after it has closed.
+// for example) rather than after it has closed. It preempts through the
+// scheduler of the accessing thread's machine.
 type raceDirector struct {
-	m     *sim.Machine
 	sites map[string]bool
 	pcs   map[uintptr]bool // memoized pc -> hinted
 	hits  int
 }
 
-// attach gives the director the machine whose scheduler it preempts
-// through (machineAware; the machine cannot exist before the config that
-// carries the listener).
-func (d *raceDirector) attach(m *sim.Machine) { d.m = m }
-
 func (d *raceDirector) hinted(pc uintptr) bool {
 	v, ok := d.pcs[pc]
 	if !ok {
-		file, line := sim.SitePos(pc)
-		v = d.sites[fmt.Sprintf("%s:%d", shortSite(file), line)]
+		v = d.sites[sim.Site(pc)]
 		d.pcs[pc] = v
 	}
 	return v
@@ -83,7 +63,7 @@ func (d *raceDirector) maybePreempt(t *sim.Thread) {
 	if !d.hinted(t.PC()) {
 		return
 	}
-	sch := d.m.Scheduler()
+	sch := t.Machine().Scheduler()
 	if sch == nil {
 		return
 	}

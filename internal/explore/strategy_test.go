@@ -126,7 +126,7 @@ func TestExploreFixedSeedDeterministic(t *testing.T) {
 // change-point budget, and later runs carry PCT deciders.
 func TestPCTStrategyCalibrates(t *testing.T) {
 	build := func() sim.Program { return &commutativeProg{nt: 2, rounds: 3} }
-	s := NewPCTStrategy(2, 0, 3, 0)
+	s := NewPCTStrategy(2, 0, 3)
 	out, err := Explore(build, Options{Threads: 2}, s, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestPCTStrategyCalibrates(t *testing.T) {
 // a campaign that still detects the rare lost update.
 func TestCoverageStrategyFindsRareRace(t *testing.T) {
 	o := Options{Threads: 2, SwitchInterval: 16}
-	s := CoverageGuided(2, 0, o.SwitchInterval)
+	s := CoverageGuided(0, o.SwitchInterval)
 	out, err := Explore(buildRareRace, o, s, 80, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -20,15 +20,13 @@ import (
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
-	// WaitErrorLimit is the number of consecutive poll failures Wait
-	// tolerates before giving up (<= 0 selects the default, 8). A daemon
-	// restart mid-campaign makes a few polls fail even though the job will
-	// finish; Wait retries through the gap with capped exponential backoff.
-	WaitErrorLimit int
 }
 
-// defaultWaitErrorLimit is the consecutive-failure budget of Wait.
-const defaultWaitErrorLimit = 8
+// waitErrorLimit is the number of consecutive poll failures Wait tolerates
+// before giving up. A daemon restart mid-campaign makes a few polls fail
+// even though the job will finish; Wait retries through the gap with
+// capped exponential backoff.
+const waitErrorLimit = 8
 
 // NewClient returns a client for the daemon at baseURL.
 func NewClient(baseURL string) *Client {
@@ -187,7 +185,7 @@ func (c *Client) Cancel(ctx context.Context, id JobID) (bool, error) {
 // Transient poll errors — connection refused while the daemon restarts, a
 // timeout on a loaded host — do not abort the wait: Wait retries with
 // exponential backoff (starting at the poll interval, capped at 10× or 2s,
-// whichever is larger) and fails only after WaitErrorLimit consecutive
+// whichever is larger) and fails only after waitErrorLimit consecutive
 // errors. A successful poll resets both the error budget and the backoff,
 // so a waiter that rode out a daemon restart resumes tight polling.
 //
@@ -197,10 +195,6 @@ func (c *Client) Cancel(ctx context.Context, id JobID) (bool, error) {
 func (c *Client) Wait(ctx context.Context, id JobID, poll time.Duration) (*Job, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
-	}
-	limit := c.WaitErrorLimit
-	if limit <= 0 {
-		limit = defaultWaitErrorLimit
 	}
 	maxDelay := 10 * poll
 	if maxDelay < 2*time.Second {
@@ -215,7 +209,7 @@ func (c *Client) Wait(ctx context.Context, id JobID, poll time.Duration) (*Job, 
 			return job, ctx.Err()
 		case err != nil:
 			errors++
-			if errors >= limit {
+			if errors >= waitErrorLimit {
 				return nil, fmt.Errorf("farm: wait for %s: %d consecutive poll failures: %w", id, errors, err)
 			}
 			delay *= 2

@@ -123,11 +123,11 @@ func newMetrics(reg *obs.Registry) *Metrics {
 		jobsFinished: reg.CounterVec("checkfarm_jobs_finished_total",
 			"Jobs reaching a terminal state, by state.", "state"),
 		jobDuration: reg.Histogram("checkfarm_job_duration_seconds",
-			"Wall time from job start to terminal state.", nil),
+			"Wall time from job start to terminal state."),
 		runsRestored: reg.Counter("checkfarm_runs_restored_total",
 			"Runs resurrected from committed store records instead of re-executing."),
 		runDuration: reg.Histogram("checkfarm_run_duration_seconds",
-			"Wall time of one simulated run.", nil),
+			"Wall time of one simulated run."),
 		detectionEvents: reg.CounterVec("instantcheck_detection_events_total",
 			"Access events delivered to attached race detectors, by access kind.", "kind"),
 		storeAppends: reg.Counter("checkfarm_store_appends_total",
@@ -135,7 +135,7 @@ func newMetrics(reg *obs.Registry) *Metrics {
 		storeAppendBytes: reg.Counter("checkfarm_store_append_bytes_total",
 			"Bytes appended to the hash-log store."),
 		storeAppendSecs: reg.Histogram("checkfarm_store_append_seconds",
-			"Latency of one durable append (write + flush + fsync).", nil),
+			"Latency of one durable append (write + flush + fsync)."),
 		storeErrors: reg.CounterVec("checkfarm_store_errors_total",
 			"Failed store writes, by operation.", "op"),
 		exploreRuns: reg.CounterVec("checkfarm_explore_runs_total",

@@ -66,17 +66,17 @@ func TestWaitRetriesTransientErrors(t *testing.T) {
 }
 
 // TestWaitGivesUpAfterConsecutiveErrors: a daemon that stays down exhausts
-// the error budget and Wait fails with the last error, not a hang.
+// the error budget of 8 failures (about 0.25 s of backoff at a 1 ms poll)
+// and Wait fails with the last error, not a hang.
 func TestWaitGivesUpAfterConsecutiveErrors(t *testing.T) {
 	c := flakyJobServer(t, []string{"fail"})
-	c.WaitErrorLimit = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, err := c.Wait(ctx, "j000001", time.Millisecond)
 	if err == nil {
 		t.Fatal("wait against a dead daemon succeeded")
 	}
-	if !strings.Contains(err.Error(), "consecutive poll failures") || !strings.Contains(err.Error(), "daemon restarting") {
+	if !strings.Contains(err.Error(), "8 consecutive poll failures") || !strings.Contains(err.Error(), "daemon restarting") {
 		t.Errorf("error does not explain the give-up: %v", err)
 	}
 }

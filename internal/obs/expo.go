@@ -51,11 +51,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writeHistogram emits the cumulative _bucket series plus _sum and _count.
 func writeHistogram(w io.Writer, name string, h *Histogram) {
 	var cum uint64
-	for i, b := range h.bounds {
+	for i, b := range DurationBuckets {
 		cum += h.counts[i].Load()
 		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatValue(b), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.counts[len(DurationBuckets)].Load()
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(w, "%s_sum %s\n", name, formatValue(h.Sum()))
 	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())

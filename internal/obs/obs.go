@@ -44,38 +44,26 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Histogram counts observations into fixed buckets, Prometheus-style:
-// cumulative bucket counts plus a running sum. Observe is lock-free.
+// Histogram counts observations into the DurationBuckets layout,
+// Prometheus-style: cumulative bucket counts plus a running sum. Observe is
+// lock-free.
 type Histogram struct {
-	bounds []float64 // upper bounds, ascending; +Inf implied
-	counts []atomic.Uint64
+	counts []atomic.Uint64 // one per DurationBuckets bound, then +Inf
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, updated by CAS
 }
 
-// DurationBuckets is the default bucket layout for latencies in seconds,
-// spanning 10µs to 10s.
+// DurationBuckets is the bucket layout of every histogram: upper bounds
+// for latencies in seconds, ascending from 10µs to 10s (+Inf is implicit).
 var DurationBuckets = []float64{
 	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	i := sort.SearchFloat64s(DurationBuckets, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -174,13 +162,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.add(&series{read: fn})
 }
 
-// Histogram registers and returns a histogram with the given bucket upper
-// bounds (ascending; +Inf is implicit). Nil selects DurationBuckets.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DurationBuckets
-	}
-	h := newHistogram(bounds)
+// Histogram registers and returns a latency histogram over DurationBuckets.
+func (r *Registry) Histogram(name, help string) *Histogram {
+	h := &Histogram{counts: make([]atomic.Uint64, len(DurationBuckets)+1)}
 	f := r.newFamily(name, help, kindHistogram)
 	f.add(&series{hist: h})
 	return h

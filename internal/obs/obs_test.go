@@ -20,7 +20,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	v.With("done").Add(3)
 	v.With("failed").Inc()
 	v.With(`we"ird\state`).Inc()
-	h := reg.Histogram("test_latency_seconds", "latencies", []float64{0.01, 0.1, 1})
+	h := reg.Histogram("test_latency_seconds", "latencies")
 	for _, x := range []float64{0.001, 0.05, 0.05, 0.5, 5} {
 		h.Observe(x)
 	}
@@ -109,7 +109,7 @@ func TestHandler(t *testing.T) {
 func TestConcurrentWriters(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
-	h := reg.Histogram("h_seconds", "", []float64{1})
+	h := reg.Histogram("h_seconds", "")
 	v := reg.CounterVec("v_total", "", "k")
 
 	const workers, per = 8, 1000
@@ -249,7 +249,7 @@ func TestGaugeVec(t *testing.T) {
 func TestLintMerged(t *testing.T) {
 	farm := NewRegistry()
 	farm.Counter("checkfarm_jobs_total", "jobs").Inc()
-	farm.Histogram("checkfarm_append_seconds", "append latency", []float64{1})
+	farm.Histogram("checkfarm_append_seconds", "append latency")
 	fleet := NewRegistry()
 	fleet.Counter("checkfleet_shards_total", "shards").Inc()
 	fleet.GaugeVec("checkfleet_worker_live", "liveness", "worker").Func("w1", func() float64 { return 1 })

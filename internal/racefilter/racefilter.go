@@ -27,9 +27,7 @@ package racefilter
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"instantcheck/internal/ihash"
 	"instantcheck/internal/mem"
@@ -108,7 +106,7 @@ func (rs *raceSet) report(addr uint64, kind AccessKind, a, b int, pcA, pcB uintp
 	}
 	rs.m[k] = &Race{
 		Addr: addr, Kind: kind, TidA: a, TidB: b,
-		SiteA: siteString(pcA), SiteB: siteString(pcB),
+		SiteA: sim.Site(pcA), SiteB: sim.Site(pcB),
 		pcA: pcA, pcB: pcB,
 	}
 }
@@ -135,27 +133,6 @@ func join(dst, src []uint64) {
 			dst[i] = v
 		}
 	}
-}
-
-// siteString renders an access pc as "file.go:line" with the path
-// shortened to its last two components — stable across checkouts, and the
-// form the static race report's site IDs reduce to for matching.
-func siteString(pc uintptr) string {
-	file, line := sim.SitePos(pc)
-	if file == "" {
-		return "?"
-	}
-	return fmt.Sprintf("%s:%d", shortPath(file), line)
-}
-
-// shortPath keeps the final directory and base name of a source path.
-func shortPath(file string) string {
-	short := filepath.ToSlash(file)
-	parts := strings.Split(short, "/")
-	if len(parts) > 2 {
-		parts = parts[len(parts)-2:]
-	}
-	return strings.Join(parts, "/")
 }
 
 // Config drives detection and classification runs.

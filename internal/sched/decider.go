@@ -6,30 +6,21 @@ import "math/rand"
 // before the next forced preemption, and which runnable thread to pick at
 // each switch point. The default is the seeded random decider (the
 // PCT/CHESS-style testing model of §7.1); the systematic-testing explorer
-// (paper §6.2) substitutes a scripted decider to enumerate schedules.
+// (paper §6.2) substitutes a scripted decider to enumerate schedules, and
+// PCT (pct.go) picks by thread priority.
 type Decider interface {
 	// SwitchBudget returns the number of Yield calls to absorb before the
 	// next forced preemption decision (>= 1).
 	SwitchBudget() int
-	// Pick selects one of n runnable candidates (0 <= result < n). The
-	// candidate list order is a deterministic function of the schedule so
-	// far, so a scripted decider replays exactly.
-	Pick(n int) int
-}
-
-// TidPicker is an optional Decider extension for policies that need thread
-// identities rather than a candidate count — priority scheduling cannot be
-// expressed through Pick(n) because the runnable list's order is an
-// artifact of the scheduler's swap-removal bookkeeping. When a Decider
-// implements TidPicker, the scheduler calls PickTid instead of Pick at
-// every switch point with more than one candidate.
-type TidPicker interface {
-	// PickTid selects the next thread from runnable (never empty, len >= 2).
-	// cur is the thread that was running (-1 before the first dispatch);
-	// cur's presence in runnable distinguishes a forced preemption (cur
-	// still runnable) from a blocking switch (cur absent). runnable must
-	// not be retained or mutated.
-	PickTid(cur int, runnable []int) int
+	// Pick returns the next thread to run, one of runnable (len >= 2), at
+	// a switch point with more than one candidate. cur is the thread that
+	// was running (-1 before the first dispatch); its presence in runnable
+	// distinguishes a forced preemption (cur still runnable) from a
+	// blocking switch (cur absent). The order of runnable is a
+	// deterministic function of the schedule so far, so a decider that
+	// picks by position replays exactly. runnable must not be retained or
+	// mutated.
+	Pick(cur int, runnable []int) int
 }
 
 // randomDecider is the default seeded random policy.
@@ -48,4 +39,6 @@ func newRandomDecider(seed int64, interval int) *randomDecider {
 func (d *randomDecider) SwitchBudget() int { return 1 + d.rng.Intn(2*d.interval) }
 
 // Pick selects uniformly.
-func (d *randomDecider) Pick(n int) int { return d.rng.Intn(n) }
+func (d *randomDecider) Pick(_ int, runnable []int) int {
+	return runnable[d.rng.Intn(len(runnable))]
+}

@@ -33,7 +33,7 @@ type PCT struct {
 	budget int    // the window handed out by the last SwitchBudget call
 
 	// Change points fire between SwitchBudget (which lands a window edge
-	// on the ordinal) and the PickTid that follows it; pendingDemote
+	// on the ordinal) and the Pick that follows it; pendingDemote
 	// carries the intent across the two calls.
 	pendingDemote bool
 	minPrio       int // floor for demotions, decreases monotonically
@@ -76,7 +76,7 @@ func NewPCT(n, d int, opBudget uint64, seed int64) *PCT {
 
 // SwitchBudget implements Decider: run until the next change point (or the
 // spin guard, whichever is nearer), and note when a change point is due so
-// the following PickTid performs the demotion.
+// the following Pick performs the demotion.
 func (p *PCT) SwitchBudget() int {
 	p.ops += uint64(p.budget)
 	if p.next < len(p.change) && p.ops >= p.change[p.next] {
@@ -96,13 +96,12 @@ func (p *PCT) SwitchBudget() int {
 	return p.budget
 }
 
-// Pick implements Decider for completeness; the scheduler never calls it
-// because PCT implements TidPicker.
-func (p *PCT) Pick(n int) int { return 0 }
-
-// PickTid implements TidPicker: demote cur if a change point just fired or
-// the spin guard tripped, then run the highest-priority runnable thread.
-func (p *PCT) PickTid(cur int, runnable []int) int {
+// Pick implements Decider: demote cur if a change point just fired or the
+// spin guard tripped, then run the highest-priority runnable thread.
+// Priority scheduling needs thread identities, not positions: the
+// runnable list's order is an artifact of the scheduler's swap-removal
+// bookkeeping.
+func (p *PCT) Pick(cur int, runnable []int) int {
 	if p.pendingDemote && cur >= 0 {
 		p.pendingDemote = false
 		p.demote(cur)

@@ -112,7 +112,7 @@ func NewControlled(n int, d Decider) *Scheduler {
 		yields:      make([]func(struct{}) bool, n),
 		stops:       make([]func(), n),
 		nextTid:     -1,
-		curTid:      -1, // no thread dispatched yet (see TidPicker)
+		curTid:      -1, // no thread dispatched yet (see Decider.Pick)
 		runnable:    make([]int, 0, n),
 		runnablePos: make([]int, n),
 		blocked:     make([]string, n),
@@ -306,10 +306,7 @@ func (s *Scheduler) pick() int {
 	if len(s.runnable) == 1 {
 		return s.runnable[0]
 	}
-	if tp, ok := s.decider.(TidPicker); ok {
-		return tp.PickTid(s.curTid, s.runnable)
-	}
-	return s.runnable[s.decider.Pick(len(s.runnable))]
+	return s.decider.Pick(s.curTid, s.runnable)
 }
 
 func (s *Scheduler) addRunnable(tid int) {

@@ -316,7 +316,9 @@ func TestScriptedDeciderControl(t *testing.T) {
 type pickLast struct{}
 
 func (pickLast) SwitchBudget() int { return 1 << 30 }
-func (pickLast) Pick(n int) int    { return n - 1 }
+func (pickLast) Pick(_ int, runnable []int) int {
+	return runnable[len(runnable)-1]
+}
 
 // TestThreadPanicPropagates checks a panicking thread fails the run with
 // its message rather than crashing the process.

@@ -242,13 +242,7 @@ func (m *Machine) NewCond(name string, mu *sched.Mutex) *sched.Cond {
 // quiescent — the machine captures a checkpoint (paper §2.3: "InstantCheck
 // checks determinism at each program barrier and at run end").
 func (m *Machine) NewBarrier(name string) *sched.Barrier {
-	return m.NewBarrierN(name, m.cfg.Threads)
-}
-
-// NewBarrierN returns a checkpointing barrier for an explicit party count
-// (for programs where only a subset of threads synchronizes).
-func (m *Machine) NewBarrierN(name string, parties int) *sched.Barrier {
-	b := sched.NewBarrier(name, parties)
+	b := sched.NewBarrier(name, m.cfg.Threads)
 	b.OnFull = func(episode, lastTID int) {
 		if err := m.capture(name); err != nil {
 			// The checkpoint hook asked to cancel (state pruning, replay

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -334,7 +335,13 @@ func TestPCUnwindersAgree(t *testing.T) {
 			if !strings.HasSuffix(file, "/thread_test.go") || line != lines[i] {
 				t.Errorf("thread %d access %d: pc %#x resolves to %s:%d, want thread_test.go:%d", tid, i, pc, file, line, lines[i])
 			}
+			if got, want := Site(pc), fmt.Sprintf("sim/thread_test.go:%d", lines[i]); got != want {
+				t.Errorf("thread %d access %d: Site = %q, want %q", tid, i, got, want)
+			}
 		}
+	}
+	if got := Site(0); got != "?" {
+		t.Errorf("Site(0) = %q, want ?", got)
 	}
 }
 
