@@ -79,3 +79,18 @@ func TestFlagDefaultsDeferToExperiment(t *testing.T) {
 		t.Error("races without a workload accepted")
 	}
 }
+
+// TestRacesRejectsBadCounts checks that races fails, rather than printing
+// an empty classification or panicking, on a negative run count and on
+// thread counts the race detector cannot hold.
+func TestRacesRejectsBadCounts(t *testing.T) {
+	for _, cfg := range []instantcheck.ExperimentConfig{
+		{Runs: -1, Small: true},
+		{Threads: -2, Small: true},
+		{Threads: 255, Small: true},
+	} {
+		if err := races("volrend", cfg); err == nil {
+			t.Errorf("races accepted %+v", cfg)
+		}
+	}
+}

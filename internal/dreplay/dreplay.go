@@ -45,7 +45,7 @@ type Log struct {
 
 // Config describes the program configuration being recorded/replayed.
 type Config struct {
-	// Threads is the worker thread count.
+	// Threads is the worker thread count (at least 1).
 	Threads int
 	// RoundFP enables FP rounding in the hashes.
 	RoundFP bool
@@ -56,8 +56,12 @@ type Config struct {
 }
 
 // Record executes the program once under the given schedule seed and
-// returns the hash log of that original execution.
+// returns the hash log of that original execution. A log's replay
+// candidates reuse its Config, so Record is where it is checked.
 func Record(build func() sim.Program, cfg Config, seed int64) (*Log, error) {
+	if cfg.Threads < 1 {
+		return nil, fmt.Errorf("dreplay: threads = %d; want at least 1", cfg.Threads)
+	}
 	env := replay.NewEnv(cfg.InputSeed)
 	addrLog := replay.NewAddrLog()
 	m := sim.NewMachine(sim.Config{

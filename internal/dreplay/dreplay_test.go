@@ -168,3 +168,21 @@ func TestSearchBudget(t *testing.T) {
 		t.Skip("improbable instant match; not an error")
 	}
 }
+
+// TestRecordRejectsBadThreads checks that Record returns an error, before
+// building or running anything, for a thread count below 1.
+func TestRecordRejectsBadThreads(t *testing.T) {
+	built := false
+	b := func() sim.Program {
+		built = true
+		return build()
+	}
+	for _, threads := range []int{0, -1} {
+		if _, err := Record(b, Config{Threads: threads}, 1); err == nil {
+			t.Errorf("Record accepted %d threads", threads)
+		}
+	}
+	if built {
+		t.Error("a rejected config built its program")
+	}
+}

@@ -43,8 +43,8 @@
 //     available to aim at.
 //   - race-directed: spends the first runs under the happens-before race
 //     detector (racefilter), then preempts threads exactly at the racy
-//     sites it found; RaceDirected can also take the static `icvet race`
-//     report's site pairs as hints up front. The strongest searcher for
+//     sites it found, named by the same "dir/file.go:line" identity the
+//     static `icvet race` report uses. The strongest searcher for
 //     atomicity and order-violation windows — the Figure 7 bugs are all
 //     found within a handful of runs — at the cost of the detection-run
 //     overhead and of finding nothing extra when the program has no races.

@@ -47,12 +47,6 @@ type Options struct {
 	Hasher ihash.Hasher
 	// Ignore applies an ignore set to every run's hashes (§2.2).
 	Ignore *sim.IgnoreSet
-	// SeedPrefixes pre-loads Systematic's DFS stack with scripted choice
-	// prefixes to explore before the free search — the coverage-guided
-	// re-entry point, and the knob regression tests use to feed a stale
-	// prefix. A prefix that no longer matches the program's decision tree
-	// is counted as a replay divergence, not silently explored.
-	SeedPrefixes [][]int
 }
 
 // Result summarizes an exploration.
@@ -73,11 +67,6 @@ type Result struct {
 	// Exhausted is true when the whole bounded schedule tree was covered
 	// within MaxRuns.
 	Exhausted bool
-	// ReplayDivergences counts runs whose scripted prefix no longer
-	// matched the program's decision tree (a stale or corrupt replay
-	// script). Divergent runs explore an unintended schedule, so their
-	// states are not marked visited and they are not branched on.
-	ReplayDivergences int
 }
 
 // Deterministic reports whether every completed schedule ended in the same
@@ -86,12 +75,6 @@ func (r *Result) Deterministic() bool { return len(r.FinalStates) <= 1 }
 
 // errPruned marks a run cancelled by state-hash pruning.
 var errPruned = errors.New("explore: state already visited")
-
-// errReplayDivergence marks a run whose scripted prefix went out of range
-// — the script was recorded against a different decision tree. The run is
-// aborted at the next checkpoint so it cannot corrupt the visited-state
-// bookkeeping.
-var errReplayDivergence = errors.New("explore: scripted prefix diverged from the decision tree")
 
 // decision records one branching point encountered during a run.
 type decision struct {
@@ -103,17 +86,14 @@ type decision struct {
 // round-robin default, recording every decision point. The default must
 // rotate rather than always taking option 0: a fixed choice can starve a
 // program that spins on a flag (hand-coded synchronization) by re-picking
-// the spinner forever, while rotation guarantees progress.
+// the spinner forever, while rotation guarantees progress. A prefix is
+// always in range: Systematic builds it from choices a parent run recorded
+// at the same decision points, and every run replays the same input and
+// allocation logs, so the run reaches those points with the same options.
 type scriptedDecider struct {
 	prefix       []int
 	preemptEvery int
 	trace        []decision
-	// diverged is set when a prefix choice was out of range for its
-	// decision point: the script no longer matches the tree, and every
-	// subsequent decision is off-script. The explorer surfaces it as a
-	// counted replay divergence instead of silently exploring the wrong
-	// schedule.
-	diverged bool
 }
 
 // SwitchBudget implements sched.Decider.
@@ -130,14 +110,6 @@ func (d *scriptedDecider) Pick(_ int, runnable []int) int {
 	choice := i % n
 	if i < len(d.prefix) {
 		choice = d.prefix[i]
-		if choice >= n || choice < 0 {
-			// The script was recorded against a different tree. Fall back
-			// to the rotation default to keep the run progressing, and
-			// flag the divergence so the explorer aborts at the next
-			// checkpoint and discards the run's bookkeeping.
-			d.diverged = true
-			choice = i % n
-		}
 	}
 	d.trace = append(d.trace, decision{options: n, chosen: choice})
 	return runnable[choice]
@@ -174,12 +146,8 @@ func Systematic(build func() sim.Program, o Options) (*Result, error) {
 	env := replay.NewEnv(o.InputSeed)
 	addrLog := replay.NewAddrLog()
 
-	// DFS over choice prefixes. Caller-seeded prefixes (coverage-guided
-	// re-entry) are pushed above the free root so they explore first.
+	// DFS over choice prefixes, from the free root.
 	stack := [][]int{nil}
-	for i := len(o.SeedPrefixes) - 1; i >= 0; i-- {
-		stack = append(stack, o.SeedPrefixes[i])
-	}
 	for len(stack) > 0 && res.Runs < maxRuns {
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -194,12 +162,6 @@ func Systematic(build func() sim.Program, o Options) (*Result, error) {
 		hook := func(cp sim.Checkpoint) error {
 			if cp.Label == "end" {
 				return nil
-			}
-			if d.diverged {
-				// Fail loudly at the first quiescent point after the
-				// script went off the rails; nothing from this run is
-				// marked visited.
-				return errReplayDivergence
 			}
 			// Checkpoints reached before the scripted prefix is consumed
 			// lie on a path shared with the parent schedule; their states
@@ -230,11 +192,6 @@ func Systematic(build func() sim.Program, o Options) (*Result, error) {
 		r, err := m.Run(build())
 		res.Runs++
 		switch {
-		case d.diverged && (err == nil || errors.Is(err, errReplayDivergence)):
-			// A diverged run explored an unintended schedule: count it,
-			// mark nothing, branch on nothing.
-			res.ReplayDivergences++
-			continue
 		case err == nil:
 			res.CompletedRuns++
 			res.FinalStates[r.FinalSH()]++

@@ -146,69 +146,6 @@ func TestPruningPreservesFinalStates(t *testing.T) {
 	}
 }
 
-// TestStalePrefixCountsReplayDivergence is the regression test for the
-// silent-clamp bug: a seeded prefix recorded against a different decision
-// tree must surface as a counted replay divergence, mark no states
-// visited, and leave the rest of the search untouched.
-func TestStalePrefixCountsReplayDivergence(t *testing.T) {
-	build := func() sim.Program { return &commutativeProg{nt: 2, rounds: 2} }
-	opts := Options{Threads: 2, PreemptEvery: 2, MaxRuns: 50000}
-
-	base, err := Systematic(build, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.ReplayDivergences != 0 {
-		t.Fatalf("clean search reported %d replay divergences", base.ReplayDivergences)
-	}
-
-	opts.SeedPrefixes = [][]int{{99}} // no decision point has 100 options
-	stale, err := Systematic(build, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.ReplayDivergences != 1 {
-		t.Fatalf("stale prefix produced %d replay divergences, want 1", stale.ReplayDivergences)
-	}
-	if stale.Runs != base.Runs+1 {
-		t.Errorf("stale prefix changed the search: %d runs vs %d+1", stale.Runs, base.Runs)
-	}
-	if stale.StatesSeen != base.StatesSeen {
-		t.Errorf("diverged run leaked states: %d vs %d", stale.StatesSeen, base.StatesSeen)
-	}
-	if stale.CompletedRuns != base.CompletedRuns {
-		t.Errorf("diverged run counted as completed: %d vs %d", stale.CompletedRuns, base.CompletedRuns)
-	}
-	if !stale.Exhausted {
-		t.Error("stale prefix prevented exhaustion")
-	}
-}
-
-// TestSeedPrefixesExploreFirst checks valid seeded prefixes are honored:
-// they run before the free search and do not disturb the final coverage.
-func TestSeedPrefixesExploreFirst(t *testing.T) {
-	build := func() sim.Program { return &commutativeProg{nt: 2, rounds: 2} }
-	opts := Options{Threads: 2, PreemptEvery: 2, MaxRuns: 50000}
-	base, err := Systematic(build, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.SeedPrefixes = [][]int{{0}, {1}}
-	seeded, err := Systematic(build, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded.ReplayDivergences != 0 {
-		t.Fatalf("valid prefixes reported %d divergences", seeded.ReplayDivergences)
-	}
-	if seeded.StatesSeen != base.StatesSeen {
-		t.Errorf("seeded search saw %d states, free search %d", seeded.StatesSeen, base.StatesSeen)
-	}
-	if !seeded.Deterministic() {
-		t.Error("verdict changed")
-	}
-}
-
 // TestExhaustedBoundary pins the Exhausted flag at the budget edge: a
 // budget of exactly the tree size exhausts, one less truncates.
 func TestExhaustedBoundary(t *testing.T) {

@@ -1,35 +1,19 @@
 package explore
 
-// Race-directed search: the static `icvet race` report names candidate
-// racy site pairs; this file uses them as preemption hints. Uniform
+// Race-directed search: the happens-before detector (internal/racefilter)
+// names the racy site pairs of the first runs, each site a
+// "dir/file.go:line" string (sim.Site, the same identity `icvet race`
+// reports statically); this file uses them as preemption hints. Uniform
 // random search only exposes a rare atomicity window when the scheduler
-// happens to switch threads inside it, so the expected number of runs
-// to surface a bug like Figure 7(b) is large. Forcing a scheduling
-// decision immediately before every access at a statically-implicated
-// site concentrates the schedule randomness exactly where a race can
-// change the outcome.
+// happens to switch threads inside it, so the expected number of runs to
+// surface a bug like Figure 7(b) is large. Forcing a scheduling decision
+// immediately before every access at a racy site concentrates the
+// schedule randomness exactly where a race can change the outcome.
 
 import (
 	"instantcheck/internal/sched"
 	"instantcheck/internal/sim"
 )
-
-// RaceHint names one candidate racy site pair from the static race
-// report, at the "dir/file.go:line" granularity dynamic pc attribution
-// can reproduce (analysis.RaceSite.FileLine).
-type RaceHint struct {
-	SiteA, SiteB string
-}
-
-// hintSites collects the distinct sites named by hints.
-func hintSites(hints []RaceHint) map[string]bool {
-	sites := make(map[string]bool, 2*len(hints))
-	for _, h := range hints {
-		sites[h.SiteA] = true
-		sites[h.SiteB] = true
-	}
-	return sites
-}
 
 // raceDirector is an EventListener that forces a scheduling decision
 // immediately before every access at a hinted site. OnRead/OnWrite fire

@@ -3,45 +3,18 @@ package explore
 import (
 	"testing"
 
-	"instantcheck/internal/analysis"
 	"instantcheck/internal/apps"
 	"instantcheck/internal/sim"
 )
-
-// waterPotHints derives preemption hints from the static race report:
-// the unsuppressed waterProg pairs on the shared potential accumulator —
-// exactly what `icvet race` points a tester at.
-func waterPotHints(t *testing.T) []RaceHint {
-	t.Helper()
-	loader, err := analysis.NewLoader("../apps")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.Load("../apps")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	var hints []RaceHint
-	for _, p := range analysis.RaceCheck(pkg).Active() {
-		if p.Program == "waterProg" && p.Region == "static:w.pot" {
-			hints = append(hints, RaceHint{SiteA: p.A.FileLine(), SiteB: p.B.FileLine()})
-		}
-	}
-	if len(hints) == 0 {
-		t.Fatal("static report has no waterProg w.pot pairs to direct with")
-	}
-	return hints
-}
 
 // TestRaceDirectedFindsWaterSPBug reproduces the paper's Figure 7(b)
 // hunt: waterSP with the seeded atomicity violation is deterministic
 // under FP rounding unless a preemption lands inside thread 3's unlocked
 // read-modify-write of the global energy. Directed search — forcing a
-// scheduling decision at each statically-implicated site — must surface
-// a differing State Hash in strictly fewer runs than uniform random search
-// over the same seeds.
+// scheduling decision at each site of a race the detection runs
+// reported — must surface a differing State Hash in strictly fewer runs
+// than uniform random search over the same seeds.
 func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
-	hints := waterPotHints(t)
 	build := func() sim.Program {
 		return apps.ByName("waterSP").Build(apps.Options{
 			Threads: 4, Small: true, Bug: apps.BugAtomicity,
@@ -53,7 +26,7 @@ func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 	o := Options{Threads: 4, RoundFP: true, InputSeed: 1, SwitchInterval: 4000}
 	const maxRuns = 60
 
-	directed, err := Explore(build, o, RaceDirected(o.Threads, o.ScheduleSeed, hints), maxRuns, nil)
+	directed, err := Explore(build, o, RaceDirected(o.Threads, o.ScheduleSeed), maxRuns, nil)
 	if err != nil {
 		t.Fatalf("directed search: %v", err)
 	}
@@ -76,20 +49,21 @@ func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 		directed.DivergedRun, directed.Hits, uniform.Found, uniform.Runs)
 }
 
-// TestRaceDirectedCleanProgram checks directed search reports no
-// nondeterminism on the unseeded waterSP: the hints point at the locked
-// reduction, and preempting inside a correctly locked critical section
-// must not change the outcome.
+// TestRaceDirectedCleanProgram checks directed search on the unseeded
+// waterSP, whose reduction is locked: the detection runs report no racy
+// site, so no preemption is forced, and no run may report nondeterminism.
 func TestRaceDirectedCleanProgram(t *testing.T) {
-	hints := waterPotHints(t)
 	build := func() sim.Program {
 		return apps.ByName("waterSP").Build(apps.Options{Threads: 4, Small: true})
 	}
-	res, err := Explore(build, Options{Threads: 4, RoundFP: true, InputSeed: 1}, RaceDirected(4, 0, hints), 8, nil)
+	res, err := Explore(build, Options{Threads: 4, RoundFP: true, InputSeed: 1}, RaceDirected(4, 0), 8, nil)
 	if err != nil {
 		t.Fatalf("directed search: %v", err)
 	}
 	if res.Found {
 		t.Errorf("directed search reports nondeterminism on the clean program after %d runs", res.Runs)
+	}
+	if res.Hits != 0 {
+		t.Errorf("%d preemptions forced on a program with no race", res.Hits)
 	}
 }

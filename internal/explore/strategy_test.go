@@ -161,10 +161,10 @@ func TestCoverageStrategyFindsRareRace(t *testing.T) {
 	}
 }
 
-// TestRaceDirectedStrategyDynamicHints checks the no-static-hints path:
+// TestRaceDirectedStrategyDynamicHints checks the strategy's plumbing:
 // the first runs execute under the happens-before detector, the racy
 // sites it reports become preemption hints, and the directed runs surface
-// the Figure 7(b) bug that uniform search misses at the same budget.
+// the Figure 7(b) bug within a 40-run budget.
 func TestRaceDirectedStrategyDynamicHints(t *testing.T) {
 	build := func() sim.Program {
 		return apps.ByName("waterSP").Build(apps.Options{
@@ -176,7 +176,7 @@ func TestRaceDirectedStrategyDynamicHints(t *testing.T) {
 	o := Options{Threads: 4, RoundFP: true, InputSeed: 1, SwitchInterval: 4000}
 	const budget = 40
 
-	s := RaceDirected(4, 0, nil)
+	s := RaceDirected(4, 0)
 	out, err := Explore(build, o, s, budget, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -228,15 +228,26 @@ func TestServerKilledAndRestarted(t *testing.T) {
 	}
 	prefix.WriteString("runstart " + string(job.ID) + " " + tornRun + "\ncp " + string(job.ID) + " " + tornRun + " 0 12")
 	crashPath := filepath.Join(dir, "crashed.log")
-	if err := os.WriteFile(crashPath, []byte(prefix.String()), 0o644); err != nil {
+	// Count the committed runs on a copy: the restarted daemon resumes the
+	// job as soon as it starts, so its own store may already hold more,
+	// and opening the crashed store first would terminate its torn line.
+	copyPath := filepath.Join(dir, "crashed-copy.log")
+	for _, p := range []string{crashPath, copyPath} {
+		if err := os.WriteFile(p, []byte(prefix.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed, err := OpenStore(copyPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Restarted daemon on the surviving store.
-	srv2, c2 := startTestDaemon(t, crashPath, Options{RunWorkers: 4})
-	if jl := srv2.store.Job(job.ID); len(jl.CompletedRuns()) != 3 {
+	if jl := crashed.Job(job.ID); len(jl.CompletedRuns()) != 3 {
 		t.Fatalf("crashed store has %v committed", jl.CompletedRuns())
 	}
+	crashed.Close()
+
+	// Restarted daemon on the surviving store.
+	_, c2 := startTestDaemon(t, crashPath, Options{RunWorkers: 4})
 	resumed := waitDone(t, c2, job.ID)
 	if resumed.State != JobDone || resumed.Error != "" {
 		t.Fatalf("resumed job %s: %s", resumed.State, resumed.Error)

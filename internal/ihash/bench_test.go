@@ -44,7 +44,7 @@ func BenchmarkZeroSumCache(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		c := NewZeroSumCache(nil)
-		c.Warm(0x10000, words)
+		c.Sum(0x10000, words)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var sink Digest
@@ -52,36 +52,6 @@ func BenchmarkZeroSumCache(b *testing.B) {
 			sink = sink.Combine(c.Sum(0x10000, words))
 		}
 		benchSink = sink
-	})
-}
-
-// BenchmarkWriteBatch measures the run-granular accumulator update against
-// the word-at-a-time loop it replaces.
-func BenchmarkWriteBatch(b *testing.B) {
-	const words = 512
-	olds := make([]uint64, words)
-	news := make([]uint64, words)
-	for i := range news {
-		olds[i] = uint64(i) * 3
-		news[i] = uint64(i) * 7
-	}
-	b.Run("batch", func(b *testing.B) {
-		a := NewAccumulator(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a.WriteBatch(0x10000, olds, news)
-		}
-		benchSink = a.Value()
-	})
-	b.Run("perword", func(b *testing.B) {
-		a := NewAccumulator(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range news {
-				a.Write(0x10000+uint64(j)*8, olds[j], news[j])
-			}
-		}
-		benchSink = a.Value()
 	})
 }
 

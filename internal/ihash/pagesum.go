@@ -38,9 +38,6 @@ func NewPageSumCache() *PageSumCache {
 	return &PageSumCache{sums: make(map[uint64]Digest)}
 }
 
-// Sum returns the cached contribution of page, Zero when none is stored.
-func (c *PageSumCache) Sum(page uint64) Digest { return c.sums[page] }
-
 // Replace swaps page's contribution for next and patches the running total:
 // total = total ⊖ old ⊕ next. It returns the contribution replaced. A zero
 // next deletes the entry, keeping the cache's footprint proportional to
@@ -56,25 +53,8 @@ func (c *PageSumCache) Replace(page uint64, next Digest) (old Digest) {
 	return old
 }
 
-// Add accumulates d into page's contribution and the running total — the
-// rebuild primitive a full sweep uses to seed the cache one run at a time
-// (several runs may land on one page when blocks share it).
-func (c *PageSumCache) Add(page uint64, d Digest) {
-	if d == Zero {
-		return
-	}
-	c.total = c.total.Combine(d)
-	c.sums[page] = c.sums[page].Combine(d)
-}
-
 // Total returns Σ C(p) over all cached pages — the raw State Hash.
 func (c *PageSumCache) Total() Digest { return c.total }
 
 // Len returns the number of pages with a nonzero cached contribution.
 func (c *PageSumCache) Len() int { return len(c.sums) }
-
-// Reset empties the cache for a full rebuild.
-func (c *PageSumCache) Reset() {
-	clear(c.sums)
-	c.total = Zero
-}

@@ -32,9 +32,8 @@ func ZeroSum(h Hasher, base uint64, words int) Digest {
 }
 
 // BatchInsert returns Σ h(base+i*8, news[i]): the digest contribution of a
-// contiguous run of words entering the tracked state. It is the
-// allocation-free form of accumulating a run into a fresh Accumulator, and
-// like WriteBatch it devirtualizes the per-word hash for the default hasher.
+// contiguous run of words entering the tracked state. Like ZeroSum it
+// devirtualizes the per-word hash for the default hasher.
 func BatchInsert(h Hasher, base uint64, news []uint64) Digest {
 	var d Digest
 	if _, ok := h.(Mix64); ok {
@@ -84,42 +83,5 @@ func (c *ZeroSumCache) Sum(base uint64, words int) Digest {
 	return d
 }
 
-// Warm precomputes the cache entry for a run, for callers that want the
-// ZeroSum cost paid at allocation time rather than at the first checkpoint.
-func (c *ZeroSumCache) Warm(base uint64, words int) { c.Sum(base, words) }
-
 // Len returns the number of cached runs.
 func (c *ZeroSumCache) Len() int { return len(c.m) }
-
-// Hasher returns the location hash the cache computes over.
-func (c *ZeroSumCache) Hasher() Hasher { return c.h }
-
-// WriteBatch applies one contiguous run of word updates to the accumulator:
-// for each i, d = d ⊖ h(base+i*8, olds[i]) ⊕ h(base+i*8, news[i]). A nil
-// olds means the words are entering the tracked state (pure insertion, the
-// run-granular form of Insert). Lengths must match when olds is non-nil.
-func (a *Accumulator) WriteBatch(base uint64, olds, news []uint64) {
-	if olds == nil {
-		a.d = a.d.Combine(BatchInsert(a.h, base, news))
-		return
-	}
-	if len(olds) != len(news) {
-		panic("ihash: WriteBatch length mismatch")
-	}
-	d := a.d
-	if _, ok := a.h.(Mix64); ok {
-		var mh Mix64
-		for i, v := range news {
-			addr := base + uint64(i)*8
-			d = d.Subtract(mh.HashWord(addr, olds[i])).Combine(mh.HashWord(addr, v))
-		}
-		a.d = d
-		return
-	}
-	h := a.h
-	for i, v := range news {
-		addr := base + uint64(i)*8
-		d = d.Subtract(h.HashWord(addr, olds[i])).Combine(h.HashWord(addr, v))
-	}
-	a.d = d
-}

@@ -117,7 +117,8 @@ type page [pageWords]uint64
 // owner metadata is what makes liveness checking O(1) for interior pages of
 // large allocations. dirty is the per-page dirty bitmap consumed by the
 // delta checkpoint sweep: a set bit means the page's contribution to the
-// state hash may have changed since the last ClearDirty.
+// state hash may have changed since the last ClearDirty, or since New
+// before the first one.
 type leaf struct {
 	pages [leafSize]*page
 	owner [leafSize]*Block
@@ -475,26 +476,13 @@ func (m *Memory) FastPathStats() (loadMisses, storeMisses uint64) {
 	return m.fastLoadMiss, m.fastStoreMiss
 }
 
-// Traverse visits every word of the hashed state (static segment plus live
-// heap blocks) in ascending address order, calling fn(addr, value, kind).
-// This is the sweep SW-InstantCheck_Tr performs at each checkpoint. Hot
-// callers should prefer TraverseRuns, which amortizes the per-word closure
-// call over whole page runs.
-func (m *Memory) Traverse(fn func(addr, value uint64, kind Kind)) {
-	m.TraverseRuns(func(base uint64, words []uint64, kind Kind) {
-		for i, v := range words {
-			fn(base+uint64(i)*WordSize, v, kind)
-		}
-	})
-}
-
-// TraverseRuns visits every word of the hashed state in ascending address
-// order as maximal per-page runs: fn is called with the address of the first
-// word of the run and a slice aliasing the backing page (or the shared
-// all-zero run for words whose page was never materialized — see IsZeroRun).
-// The callback must treat words as read-only and must not retain it past the
-// call when it may later mutate memory; runs never cross a page boundary or
-// a block boundary.
+// TraverseRuns visits every word of the hashed state (static segment plus
+// live heap blocks) in ascending address order as maximal per-page runs: fn
+// is called with the address of the first word of the run and a slice
+// aliasing the backing page (or the shared all-zero run for words whose page
+// was never materialized — see IsZeroRun). The callback must treat words as
+// read-only and must not retain it past the call when it may later mutate
+// memory; runs never cross a page boundary or a block boundary.
 func (m *Memory) TraverseRuns(fn func(base uint64, words []uint64, kind Kind)) {
 	for _, b := range m.order {
 		if !b.Live {

@@ -158,7 +158,7 @@ func TestLiveWordsAccounting(t *testing.T) {
 	}
 }
 
-// TestTraverseOrderAndContent checks Traverse visits exactly the live
+// TestTraverseOrderAndContent checks TraverseRuns visits exactly the live
 // words, in ascending address order, with the right kinds — determinism of
 // this order is what keeps traversal hashing reproducible.
 func TestTraverseOrderAndContent(t *testing.T) {
@@ -173,9 +173,11 @@ func TestTraverseOrderAndContent(t *testing.T) {
 
 	var addrs []uint64
 	var kinds []Kind
-	m.Traverse(func(addr, v uint64, k Kind) {
-		addrs = append(addrs, addr)
-		kinds = append(kinds, k)
+	m.TraverseRuns(func(base uint64, words []uint64, k Kind) {
+		for i := range words {
+			addrs = append(addrs, base+uint64(i)*WordSize)
+			kinds = append(kinds, k)
+		}
 	})
 	if len(addrs) != 3 { // 2 static + 1 live heap
 		t.Fatalf("visited %d words", len(addrs))

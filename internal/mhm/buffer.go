@@ -150,7 +150,7 @@ func (u *Unit) applyPair(addr, old, new uint64, isFP bool) {
 // drain hashes every pending entry in one pass over the table, straight
 // out of the slots with no gather copy, with the location hash
 // devirtualized for the default Mix64 (the same specialization the
-// WriteBatch/BatchInsert kernels apply). The whole batch enters
+// BatchInsert and ZeroSum kernels apply). The whole batch enters
 // the datapath as a single dispatched term — legal, like every reordering
 // here, because ⊕ is commutative and associative (§3.2).
 func (u *Unit) drain() {

@@ -137,10 +137,10 @@ func join(dst, src []uint64) {
 
 // Config drives detection and classification runs.
 type Config struct {
-	// Threads is the worker thread count.
+	// Threads is the worker thread count, 1 to MaxThreads.
 	Threads int
 	// Runs is the number of schedules for detection/classification
-	// (default 10).
+	// (0 selects 10; negative is an error).
 	Runs int
 	// BaseSeed derives schedule seeds.
 	BaseSeed int64
@@ -165,8 +165,15 @@ func Detect(build func() sim.Program, cfg Config) ([]Race, error) {
 }
 
 // detect is Detect, and also hands each finished run's machine and result
-// to final when that is non-nil. It is the package's one run loop.
+// to final when that is non-nil. It is the package's one run loop, so it
+// rejects an out-of-range Config before any run starts.
 func detect(build func() sim.Program, cfg Config, final func(*sim.Machine, *sim.Result)) ([]Race, error) {
+	if cfg.Threads < 1 || cfg.Threads > MaxThreads {
+		return nil, fmt.Errorf("racefilter: threads = %d; want 1 to %d", cfg.Threads, MaxThreads)
+	}
+	if cfg.Runs < 0 {
+		return nil, fmt.Errorf("racefilter: runs = %d; want at least 0 (0 selects 10)", cfg.Runs)
+	}
 	env := replay.NewEnv(cfg.InputSeed)
 	addrLog := replay.NewAddrLog()
 	union := make(map[raceKey]Race)

@@ -243,3 +243,30 @@ func TestAccessKindStrings(t *testing.T) {
 		t.Error("kind strings")
 	}
 }
+
+// TestConfigRejectsBadCounts checks that Detect and Classify return an
+// error, before building or running anything, for a thread count outside
+// 1..MaxThreads or a negative run count.
+func TestConfigRejectsBadCounts(t *testing.T) {
+	built := false
+	build := func() sim.Program {
+		built = true
+		return &toy{nt: 2}
+	}
+	for _, cfg := range []Config{
+		{Threads: 0},
+		{Threads: -2},
+		{Threads: MaxThreads + 1},
+		{Threads: 2, Runs: -1},
+	} {
+		if _, err := Detect(build, cfg); err == nil {
+			t.Errorf("Detect accepted %+v", cfg)
+		}
+		if _, err := Classify(build, cfg); err == nil {
+			t.Errorf("Classify accepted %+v", cfg)
+		}
+	}
+	if built {
+		t.Error("a rejected config built its program")
+	}
+}

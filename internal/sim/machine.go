@@ -50,11 +50,9 @@ type Machine struct {
 	travRuns []travRun
 
 	// pageSums caches per-page State-Hash contributions for dirty-page
-	// delta checkpoints. deltaReady reports the cache mirrors memory with
-	// the dirty bitmap cleared (set by the seeding full sweep); deltaPages
-	// is the per-sweep scratch list of dirty page numbers.
+	// delta checkpoints; nil until the run's first sweep. deltaPages is
+	// the per-sweep scratch list of dirty page numbers.
 	pageSums   *ihash.PageSumCache
-	deltaReady bool
 	deltaPages []uint64
 
 	checkpoints []Checkpoint
@@ -319,62 +317,23 @@ const pageBytes = mem.PageWords * mem.WordSize
 // initial state, the same quantity the incremental schemes accumulate. FP
 // words are rounded using the allocation table's type information.
 //
-// Only the first sweep visits everything; it seeds a per-page contribution
-// cache, and later checkpoints rehash just the pages dirtied since the
-// previous one, patching the cached total by SH' = SH ⊖ C_old(p) ⊕
-// C_new(p). Because ⊕ is an abelian group operation the patched digest is
-// bit-identical to a full sweep of the same state.
+// The sweep rehashes only the pages dirtied since the previous checkpoint
+// and patches a per-page contribution cache, SH' = SH ⊖ C_old(p) ⊕
+// C_new(p); because ⊕ is an abelian group operation the patched digest is
+// bit-identical to a full sweep of the same state. Stores, allocations and
+// frees mark pages dirty from the start of the run, so the first sweep,
+// over an empty cache, is the full sweep. A dirty page with no remaining
+// nonzero live runs replaces its contribution with Zero — the §2.2
+// deletion algebra at page granularity, which is how freed blocks leave
+// the hash. All-zero runs, never-materialized backing included, cancel
+// (Σ h(a,0) ⊖ Σ h(a,0) = 0) and are skipped; for the rest the Σ h(a,0)
+// term comes from a per-run memo instead of a per-word hash.
 func (m *Machine) traverseHash() ihash.Digest {
-	if m.zeroSums == nil {
+	first := m.pageSums == nil
+	if first {
 		m.zeroSums = ihash.NewZeroSumCache(m.hasher)
-	}
-	if m.deltaReady {
-		return m.traverseDelta()
-	}
-	return m.traverseFull()
-}
-
-// traverseFull sweeps every live run. Two fast paths apply. Runs whose
-// backing page was never materialized are still all-zero, so their Σ h(a,v)
-// equals their Σ h(a,0) and they cancel without being visited at all. For
-// materialized runs the Σ h(a,0) term depends only on the address range, so
-// it comes from a per-run cache (warmed at allocation time) instead of a
-// per-word hash. The sweep also rebuilds the per-page contribution cache
-// and clears the dirty bitmap, arming delta mode for the following
-// checkpoints.
-func (m *Machine) traverseFull() ihash.Digest {
-	runs := m.travRuns[:0]
-	total := 0
-	m.Mem.TraverseRuns(func(base uint64, words []uint64, kind mem.Kind) {
-		if mem.IsZeroRun(words) {
-			return // Σ h(a,0) ⊖ Σ h(a,0) = 0: untouched runs cancel exactly
-		}
-		runs = append(runs, travRun{base: base, words: words, kind: kind, zero: m.zeroSums.Sum(base, len(words))})
-		total += len(words)
-	})
-	m.travRuns = runs
-	m.counters.TraverseRunsHashed += uint64(len(runs))
-	m.counters.TraverseFullSweeps++
-	m.hashRuns(runs, traverseShards(total))
-	if m.pageSums == nil {
 		m.pageSums = ihash.NewPageSumCache()
-	} else {
-		m.pageSums.Reset()
 	}
-	for i := range runs {
-		m.pageSums.Add(runs[i].base/pageBytes, runs[i].sum)
-	}
-	m.Mem.ClearDirty()
-	m.deltaReady = true
-	return m.pageSums.Total()
-}
-
-// traverseDelta rehashes only the pages dirtied since the last checkpoint
-// and patches their cached contributions. A dirty page with no remaining
-// live runs (or only zero ones) replaces its contribution with Zero — the
-// §2.2 deletion algebra applied at page granularity, which is how freed
-// blocks leave the hash without a full resweep.
-func (m *Machine) traverseDelta() ihash.Digest {
 	pages := m.deltaPages[:0]
 	runs := m.travRuns[:0]
 	total := 0
@@ -390,8 +349,12 @@ func (m *Machine) traverseDelta() ihash.Digest {
 	m.deltaPages = pages
 	m.travRuns = runs
 	m.counters.TraverseRunsHashed += uint64(len(runs))
-	m.counters.TraverseDeltaSweeps++
-	m.counters.TraverseDirtyPages += uint64(len(pages))
+	if first {
+		m.counters.TraverseFullSweeps++
+	} else {
+		m.counters.TraverseDeltaSweeps++
+		m.counters.TraverseDirtyPages += uint64(len(pages))
+	}
 	m.hashRuns(runs, traverseShards(total))
 	// Pages and runs both arrive in ascending address order, so one linear
 	// merge folds each page's run sums into its new contribution.
@@ -405,7 +368,9 @@ func (m *Machine) traverseDelta() ihash.Digest {
 		m.pageSums.Replace(pn, sum)
 	}
 	m.Mem.ClearDirty()
-	m.counters.TraverseLivePages += uint64(m.pageSums.Len())
+	if !first {
+		m.counters.TraverseLivePages += uint64(m.pageSums.Len())
+	}
 	return m.pageSums.Total()
 }
 
@@ -469,28 +434,6 @@ func (m *Machine) hashRun(r *travRun) ihash.Digest {
 		d = ihash.BatchInsert(h, r.base, r.words)
 	}
 	return d.Subtract(r.zero)
-}
-
-// warmZeroSums precomputes the Σ h(a,0) cache entries for a block's
-// page-bounded runs at allocation time, keeping that cost off the
-// checkpoint path. Only the traversal scheme maintains the cache.
-func (m *Machine) warmZeroSums(base uint64, words int) {
-	if m.zeroSums == nil {
-		if m.cfg.Scheme.Incremental() || !m.cfg.Scheme.Hashing() {
-			return
-		}
-		m.zeroSums = ihash.NewZeroSumCache(m.hasher)
-	}
-	addr := base
-	end := base + uint64(words)*mem.WordSize
-	for addr < end {
-		chunkEnd := (addr/pageBytes + 1) * pageBytes
-		if chunkEnd > end {
-			chunkEnd = end
-		}
-		m.zeroSums.Warm(addr, int((chunkEnd-addr)/mem.WordSize))
-		addr = chunkEnd
-	}
 }
 
 // SetFPRounding flips the FP round-off unit for every thread mid-run,

@@ -260,9 +260,10 @@ type Counters struct {
 	// the traversal scheme).
 	TraverseShardedSweeps uint64
 	// TraverseFullSweeps and TraverseDeltaSweeps split the traversal
-	// scheme's checkpoints by strategy: full sweeps visit every live run
-	// and seed the per-page cache; delta sweeps rehash only pages dirtied
-	// since the last checkpoint.
+	// scheme's checkpoints: a run's first sweep starts from an empty
+	// per-page cache, so it rehashes every page holding nonzero live
+	// words and counts as full; every later sweep is a delta sweep over
+	// the pages dirtied since the previous checkpoint.
 	TraverseFullSweeps  uint64
 	TraverseDeltaSweeps uint64
 	// TraverseDirtyPages sums the dirty pages rehashed over all delta
