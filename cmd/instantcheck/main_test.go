@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"instantcheck"
@@ -92,5 +93,19 @@ func TestRacesRejectsBadCounts(t *testing.T) {
 		if err := races("volrend", cfg); err == nil {
 			t.Errorf("races accepted %+v", cfg)
 		}
+	}
+}
+
+// TestExploreEffRejectsTooManyThreads checks that exploreeff fails with
+// the explorer's thread bound, rather than panicking in the race
+// detector, when -threads exceeds what the detector can hold.
+func TestExploreEffRejectsTooManyThreads(t *testing.T) {
+	_, cfg, asJSON, err := parseArgs("exploreeff", []string{"-small", "-threads", "255", "-runs", "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = exploreeff(cfg, asJSON)
+	if err == nil || !strings.Contains(err.Error(), "threads = 255; want 1 to 254") {
+		t.Fatalf("exploreeff -threads 255: %v; want the explorer's thread bound", err)
 	}
 }

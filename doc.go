@@ -43,7 +43,7 @@
 //   - an observability layer (internal/obs): stdlib-only counters,
 //     gauges and histograms with a Prometheus text exporter, served by
 //     checkd at /metrics alongside a JSON /healthz and opt-in
-//     net/http/pprof (-pprof). Job lifecycle, queue depth, store fsync
+//     net/http/pprof (-pprof). Job lifecycle, queue depth, store append
 //     latency and the per-scheme hash path (stores hashed, checkpoints,
 //     traversal sweeps, fast-window hit rate) are all scrapeable;
 //     `instantcheck remote stats` renders a snapshot.

@@ -77,12 +77,14 @@ type Outcome struct {
 // the first cross-run State-Hash divergence. All runs share the recorded
 // input environment, so schedule choice is the only nondeterminism source
 // (§5). onRun, when non-nil, is called after every executed run — the
-// farm's store append hook; its error aborts the campaign.
+// farm's store append hook; its error aborts the campaign. Before the
+// first run it rejects a budget below 1 and a thread count outside
+// 1..racefilter.MaxThreads, the race detector's bound.
 func Explore(build func() sim.Program, o Options, strat Strategy, maxRuns int,
 	onRun func(run int, res *sim.Result) error) (*Outcome, error) {
 
-	if o.Threads <= 0 {
-		return nil, fmt.Errorf("explore: Threads must be positive")
+	if o.Threads < 1 || o.Threads > racefilter.MaxThreads {
+		return nil, fmt.Errorf("explore: threads = %d; want 1 to %d", o.Threads, racefilter.MaxThreads)
 	}
 	if maxRuns <= 0 {
 		return nil, fmt.Errorf("explore: run budget must be positive")

@@ -1,10 +1,13 @@
 package explore
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"instantcheck/internal/apps"
 	"instantcheck/internal/mem"
+	"instantcheck/internal/racefilter"
 	"instantcheck/internal/sim"
 )
 
@@ -192,6 +195,23 @@ func TestRaceDirectedStrategyDynamicHints(t *testing.T) {
 	}
 	t.Logf("dynamic hints: found at run %d with %d directed preemptions, %d hinted sites",
 		out.DivergedRun, out.Hits, len(s.(*raceDirectedStrategy).sites))
+}
+
+// TestExploreRejectsBadThreads checks that Explore refuses a thread count
+// the race detector cannot hold, or none, before it builds a program:
+// race-directed search would otherwise panic in its first Plan.
+func TestExploreRejectsBadThreads(t *testing.T) {
+	build := func() sim.Program {
+		t.Fatal("Explore built a program for an out-of-range thread count")
+		return nil
+	}
+	for _, threads := range []int{0, racefilter.MaxThreads + 1} {
+		o := Options{Threads: threads}
+		out, err := Explore(build, o, RaceDirected(threads, 0), 3, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("threads = %d", threads)) {
+			t.Errorf("Explore with %d threads: %+v, %v; want a threads error", threads, out, err)
+		}
+	}
 }
 
 // TestExploreOnRunHook checks the per-run callback sees every executed

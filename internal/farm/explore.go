@@ -5,9 +5,13 @@ package farm
 // — a search strategy (internal/explore) generates schedules one at a
 // time, learns from each run's checkpoint hashes, and the campaign stops
 // at the first State-Hash divergence. The store records every executed
-// run exactly like a check job's (the hash log is the same interchange
-// unit), plus one "explored" record carrying the search outcome, so a
-// restarted daemon reassembles the report without re-searching.
+// run in the same lines as a check job's (the hash log is the same
+// interchange unit), plus one "explored" record carrying the search
+// outcome, so a restarted daemon reassembles the report without
+// re-searching. Unlike a check job's, its run records are flushed without
+// an fsync: a restarted daemon re-runs an unfinished search from run 0,
+// so a run record lost with the machine costs only its re-run, and the
+// explored record's fsync makes every earlier line durable.
 
 import (
 	"context"

@@ -1,9 +1,13 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +175,139 @@ func TestExploreJobResume(t *testing.T) {
 	if after.Explore == nil || after.Explore.Runs != spec.Runs {
 		t.Errorf("resumed outcome = %+v", after.Explore)
 	}
+}
+
+// TestExploreJobKilledMidSearch checks that an explore job survives a
+// crash anywhere in its run records. Explore run records are flushed
+// without fsync, so a crash of the machine can cut the log at any byte
+// after the job line and before the explored record. The test cuts a
+// finished job's log at every line boundary inside its run records, once
+// inside each of those lines, and between the explored record and jobend,
+// restarts a daemon on each prefix, and requires the uninterrupted job's
+// report and hash log byte for byte, from the resumed daemon and again
+// from one started on the log it left. A committed run whose hash was
+// altered on disk must fail the resumed job instead.
+func TestExploreJobKilledMidSearch(t *testing.T) {
+	dir := t.TempDir()
+	spec := exploreSpec("race-directed")
+	spec.Runs = 10
+
+	fullPath := filepath.Join(dir, "full.log")
+	var id JobID
+	var wantReport []byte
+	var wantLog string
+	{
+		_, c := startTestDaemon(t, fullPath, Options{})
+		job, err := c.Submit(bg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job = waitDone(t, c, job.ID); job.State != JobDone {
+			t.Fatalf("reference job finished as %s: %s", job.State, job.Error)
+		}
+		id = job.ID
+		rep, err := c.Report(bg, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Explore == nil || rep.Explore.Runs < 3 {
+			t.Fatalf("reference search ran %+v; want a search of several runs", rep.Explore)
+		}
+		if wantReport, err = json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+		if wantLog, err = c.HashLog(bg, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut offsets: each run-record line's start and middle, the boundary
+	// after the last runend (the explored line's start), and jobend's start.
+	var cuts []int
+	lastRunEnd := 0 // end of the last committed run's runend line
+	pos := 0
+	for _, l := range strings.SplitAfter(string(raw), "\n") {
+		switch strings.SplitN(l, " ", 2)[0] {
+		case "runstart", "cp", "out":
+			cuts = append(cuts, pos, pos+len(l)/2)
+		case "runend":
+			cuts = append(cuts, pos, pos+len(l)/2)
+			lastRunEnd = pos + len(l)
+		case "explored", "jobend":
+			cuts = append(cuts, pos)
+		}
+		pos += len(l)
+	}
+
+	resume := func(t *testing.T, prefix []byte) (string, *Job, *Client) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "crashed.log")
+		if err := os.WriteFile(path, prefix, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, c := startTestDaemon(t, path, Options{})
+		return path, waitDone(t, c, id), c
+	}
+	same := func(t *testing.T, c *Client) {
+		t.Helper()
+		rep, err := c.Report(bg, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotReport, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotReport) != string(wantReport) {
+			t.Errorf("report differs:\nfull    %s\nresumed %s", wantReport, gotReport)
+		}
+		gotLog, err := c.HashLog(bg, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotLog != wantLog {
+			t.Errorf("hash log differs:\nfull\n%s\nresumed\n%s", wantLog, gotLog)
+		}
+	}
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			path, job, c := resume(t, raw[:cut])
+			if job.State != JobDone || job.Error != "" {
+				t.Fatalf("resumed job %s: %s", job.State, job.Error)
+			}
+			same(t, c)
+			// The resumed log itself holds the same job: a daemon
+			// started on it serves both from disk.
+			_, c = startTestDaemon(t, path, Options{})
+			same(t, c)
+		})
+	}
+
+	// Flip one hex digit of a committed checkpoint hash: the re-run
+	// reproduces the true hash, and AppendRun must refuse it.
+	t.Run("flipped", func(t *testing.T) {
+		prefix := slices.Clone(raw[:lastRunEnd])
+		at := bytes.Index(prefix, []byte("\ncp ")) + 1
+		if at == 0 {
+			t.Fatal("log has no cp line")
+		}
+		line := string(prefix[at : at+bytes.IndexByte(prefix[at:], '\n')])
+		sh := strings.Fields(line)[4] // cp <id> <run> <ordinal> <sh> <label>
+		hexAt := at + strings.Index(line, " "+sh+" ") + 1
+		if prefix[hexAt] == '0' {
+			prefix[hexAt] = '1'
+		} else {
+			prefix[hexAt] = '0'
+		}
+		_, job, _ := resume(t, prefix)
+		if job.State != JobFailed || !strings.Contains(job.Error, "duplicate append disagrees") {
+			t.Errorf("resumed job with an altered hash finished as %s: %q; want a failed duplicate append", job.State, job.Error)
+		}
+	})
 }
 
 // TestExploreSpecValidation checks the submit-time guards on the explore

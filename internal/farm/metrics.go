@@ -135,7 +135,7 @@ func newMetrics(reg *obs.Registry) *Metrics {
 		storeAppendBytes: reg.Counter("checkfarm_store_append_bytes_total",
 			"Bytes appended to the hash-log store."),
 		storeAppendSecs: reg.Histogram("checkfarm_store_append_seconds",
-			"Latency of one durable append (write + flush + fsync)."),
+			"Latency of one append (write + flush, and fsync except on explore run records)."),
 		storeErrors: reg.CounterVec("checkfarm_store_errors_total",
 			"Failed store writes, by operation.", "op"),
 		exploreRuns: reg.CounterVec("checkfarm_explore_runs_total",
@@ -195,7 +195,7 @@ func (m *Metrics) observeRun(scheme sim.Scheme, res *sim.Result, d time.Duration
 	}
 }
 
-// storeAppend records one durable append's outcome; the store calls it from
+// storeAppend records one append's outcome; the store calls it from
 // under its own lock.
 func (m *Metrics) storeAppend(d time.Duration, bytes int, err error) {
 	if m == nil {

@@ -376,9 +376,12 @@ func (s *Store) indexLine(line string, open map[runKey]*RunRecord) {
 	}
 }
 
-// appendLine writes one line and syncs it to disk. Every record is
-// durable before the call returns: a crash never loses a committed run.
-func (s *Store) appendLine(line string) error {
+// appendLine writes one line and flushes it to the file, where it survives
+// a crash of the daemon. When durable it also fsyncs the file, so the line
+// and every line before it survive a crash of the machine too; every
+// record resume builds on (job, jobend, explored, a check job's runs) is
+// durable.
+func (s *Store) appendLine(line string, durable bool) error {
 	start := time.Now()
 	err := func() error {
 		if _, err := s.w.WriteString(line + "\n"); err != nil {
@@ -386,6 +389,9 @@ func (s *Store) appendLine(line string) error {
 		}
 		if err := s.w.Flush(); err != nil {
 			return err
+		}
+		if !durable {
+			return nil
 		}
 		return s.f.Sync()
 	}()
@@ -412,7 +418,7 @@ func (s *Store) BeginJob(id JobID, spec JobSpec) error {
 	if _, ok := s.jobs[id]; ok {
 		return fmt.Errorf("farm: job %s already in store", id)
 	}
-	if err := s.appendLine(fmt.Sprintf("job %s %s", id, specJSON)); err != nil {
+	if err := s.appendLine(fmt.Sprintf("job %s %s", id, specJSON), true); err != nil {
 		return err
 	}
 	s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunRecord)}
@@ -421,7 +427,11 @@ func (s *Store) BeginJob(id JobID, spec JobSpec) error {
 }
 
 // AppendRun commits one run's hashes: the checkpoint lines, the output
-// lines and the commit marker are appended and synced as a unit.
+// lines and the commit marker are appended as a unit. A check job's run is
+// synced, since a restarted daemon resumes the job from its committed runs.
+// An explore job's run is only flushed: a restarted daemon re-runs an
+// unfinished search from run 0 and reads no committed run, and the
+// search's synced "explored" record makes every earlier line durable.
 //
 // The append is idempotent by run index: committing a run that is already
 // committed with identical content is a no-op (no duplicate lines reach
@@ -453,7 +463,7 @@ func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 		fmt.Fprintf(&sb, "out %s %d %d %016x %d\n", id, run, o.FD, o.Hash, o.Bytes)
 	}
 	fmt.Fprintf(&sb, "runend %s %d %d", id, run, len(rec.Checkpoints))
-	if err := s.appendLine(sb.String()); err != nil {
+	if err := s.appendLine(sb.String(), jl.Spec.Kind != "explore"); err != nil {
 		return err
 	}
 	jl.runs[run] = &rec
@@ -475,7 +485,7 @@ func (s *Store) SetExploreOutcome(id JobID, out *ExploreOutcome) error {
 	if jl == nil {
 		return fmt.Errorf("farm: job %s not in store", id)
 	}
-	if err := s.appendLine(fmt.Sprintf("explored %s %s", id, outJSON)); err != nil {
+	if err := s.appendLine(fmt.Sprintf("explored %s %s", id, outJSON), true); err != nil {
 		return err
 	}
 	cp := *out
@@ -495,7 +505,7 @@ func (s *Store) EndJob(id JobID, status, errMsg string) error {
 	if errMsg != "" {
 		line += " " + strconv.Quote(errMsg)
 	}
-	if err := s.appendLine(line); err != nil {
+	if err := s.appendLine(line, true); err != nil {
 		return err
 	}
 	jl.Final = status

@@ -1,6 +1,10 @@
 package mhm
 
-import "instantcheck/internal/ihash"
+import (
+	"sync"
+
+	"instantcheck/internal/ihash"
+)
 
 // This file implements the per-thread store buffer: the software analogue of
 // the write-buffer amortization a real MHM datapath gets for free (§3.2's
@@ -32,6 +36,12 @@ import "instantcheck/internal/ihash"
 // unit, §3.1): entries hold raw bit patterns, and every point that can
 // change the rounding mode drains first, so the mode at drain time is the
 // mode the stores ran under.
+//
+// Buffers are recycled across units and runs, as a hardware MHM keeps its
+// buffer from one run to the next. A detached buffer has been drained, and
+// drain empties every slot it used, so the next unit to attach a buffer of
+// the same size takes it as it is instead of allocating and zeroing a
+// fresh table.
 
 // bufSlot is one pending coalesced update, 24 bytes. key is the word
 // address with the store's FP flag packed into bit 0 (word addresses are
@@ -57,21 +67,38 @@ type storeBuffer struct {
 	limit int      // entry count that forces a drain
 }
 
+// bufPool holds detached store buffers, every slot empty, for reuse.
+var bufPool sync.Pool
+
 // SetStoreBuffer attaches a store buffer holding up to words coalesced
 // entries between drains (the simulator attaches sim.StoreBufferAutoWords
-// for HWInc and SWInc). Any existing buffer is drained first; words <= 0
-// detaches the buffer and restores inline per-store hashing.
+// for HWInc and SWInc, and detaches it when the run ends). Any existing
+// buffer is drained and detached first, and kept for reuse by the next
+// unit that attaches a buffer of its size; words <= 0 only detaches,
+// restoring inline per-store hashing.
 func (u *Unit) SetStoreBuffer(words int) {
 	u.drain()
-	if words <= 0 {
+	if u.buf != nil {
+		bufPool.Put(u.buf)
 		u.buf = nil
+	}
+	if words <= 0 {
 		return
 	}
+	b, _ := bufPool.Get().(*storeBuffer)
+	if b == nil || b.limit != words {
+		b = newStoreBuffer(words)
+	}
+	u.buf = b
+}
+
+// newStoreBuffer allocates an empty buffer for up to words entries.
+func newStoreBuffer(words int) *storeBuffer {
 	k := uint(1)
 	for 1<<k < words*2 {
 		k++
 	}
-	u.buf = &storeBuffer{
+	return &storeBuffer{
 		slots: make([]bufSlot, 1<<k),
 		mask:  1<<k - 1,
 		shift: 64 - k,

@@ -2,6 +2,8 @@ package mhm
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -305,4 +307,136 @@ func TestStatsDoesNotDrain(t *testing.T) {
 	if u.PendingWords() != 1 {
 		t.Error("Stats() drained the buffer")
 	}
+}
+
+// storeStream drives u with a seeded stream of stores (some with a broken
+// chain), frees and rounding flips over more addresses than a small buffer
+// holds, and returns every TH it reads along the way.
+func storeStream(u *Unit, seed int64, ops int) []ihash.Digest {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make(map[uint64]uint64)
+	var ths []ihash.Digest
+	for i := 0; i < ops; i++ {
+		a := 0x10000 + uint64(rng.Intn(40))*8
+		fp := rng.Intn(4) == 0
+		switch r := rng.Intn(40); {
+		case r < 34:
+			old, new := vals[a], rng.Uint64()
+			if rng.Intn(8) == 0 {
+				old = rng.Uint64()
+			}
+			vals[a] = new
+			u.OnStore(a, old, new, fp)
+		case r < 38:
+			u.OnFree(a, vals[a], fp)
+			vals[a] = 0
+		case r == 38:
+			if u.Rounding() {
+				u.StopFPRounding()
+			} else {
+				u.StartFPRounding()
+			}
+		default:
+			ths = append(ths, u.TH())
+		}
+	}
+	return append(ths, u.TH())
+}
+
+// TestRecycledBufferMatchesFresh checks the reuse contract: a released
+// buffer is empty, a unit that attaches it hashes a stream to the same TH
+// and Stats as a unit with a fresh buffer, and the releasing unit goes on
+// hashing inline to the TH an always-inline unit computes.
+func TestRecycledBufferMatchesFresh(t *testing.T) {
+	const words, ops = 16, 400
+	for seed := int64(1); seed <= 8; seed++ {
+		used := New(nil, fpround.Default)
+		used.SetStoreBuffer(words)
+		storeStream(used, seed, ops)
+		rel := used.buf
+		used.SetStoreBuffer(0)
+		if used.buf != nil || len(rel.used) != 0 {
+			t.Fatalf("seed %d: released buffer still attached or holding %d entries", seed, len(rel.used))
+		}
+		for i, sl := range rel.slots {
+			if sl.key != 0 {
+				t.Fatalf("seed %d: released buffer slot %d still keyed %#x", seed, i, sl.key)
+			}
+		}
+
+		// rel attached as the pool hands it on, against a fresh table.
+		recycled, fresh := New(nil, fpround.Default), New(nil, fpround.Default)
+		recycled.buf, fresh.buf = rel, newStoreBuffer(words)
+		got, want := storeStream(recycled, seed+100, ops), storeStream(fresh, seed+100, ops)
+		if !slices.Equal(got, want) {
+			t.Errorf("seed %d: recycled buffer's TH reads %v, fresh buffer's %v", seed, got, want)
+		}
+		if recycled.Stats() != fresh.Stats() {
+			t.Errorf("seed %d: recycled buffer's stats %+v, fresh buffer's %+v", seed, recycled.Stats(), fresh.Stats())
+		}
+
+		ref := New(nil, fpround.Default)
+		storeStream(ref, seed, ops)
+		flushes := used.Stats().BufferFlushes
+		if got, want := storeStream(used, seed+200, ops), storeStream(ref, seed+200, ops); !slices.Equal(got, want) {
+			t.Errorf("seed %d: unit after release reads %v, inline unit %v", seed, got, want)
+		}
+		if used.Stats().BufferFlushes != flushes {
+			t.Errorf("seed %d: unit after release still drains a buffer", seed)
+		}
+	}
+
+	// A pooled buffer of another size is never attached.
+	u := New(nil, fpround.Default)
+	u.SetStoreBuffer(words)
+	u.SetStoreBuffer(0)
+	u.SetStoreBuffer(4 * words)
+	if u.buf.limit != 4*words || len(u.buf.slots) != 8*words {
+		t.Errorf("SetStoreBuffer(%d) attached limit %d, %d slots", 4*words, u.buf.limit, len(u.buf.slots))
+	}
+}
+
+// TestRecycledBuffersConcurrent has several goroutines attach, store,
+// drain and release buffers through the shared pool at once, and go on
+// storing inline after each release; every stream must still read the
+// TH and Stats of a fresh buffer. Under -race it also checks that no
+// buffer is ever written by two units at once.
+func TestRecycledBuffersConcurrent(t *testing.T) {
+	const words, ops, streams, goroutines = 16, 300, 24, 4
+	type result struct {
+		buffered, inline []ihash.Digest
+		stats            Stats
+	}
+	run := func(u *Unit, i int) result {
+		var r result
+		r.buffered = storeStream(u, int64(i), ops)
+		u.SetStoreBuffer(0)
+		r.inline = storeStream(u, int64(streams+i), ops)
+		r.stats = u.Stats()
+		return r
+	}
+	want := make([]result, streams)
+	for i := range want {
+		u := New(nil, fpround.Default)
+		u.buf = newStoreBuffer(words)
+		want[i] = run(u, i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 3*streams; n++ {
+				i := (g*7 + n) % streams
+				u := New(nil, fpround.Default)
+				u.SetStoreBuffer(words)
+				got := run(u, i)
+				if !slices.Equal(got.buffered, want[i].buffered) || !slices.Equal(got.inline, want[i].inline) || got.stats != want[i].stats {
+					t.Errorf("goroutine %d: stream %d read %+v; want %+v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

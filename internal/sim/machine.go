@@ -145,6 +145,9 @@ func (m *Machine) Run(p Program) (*Result, error) {
 		panic("sim: Machine reused across runs")
 	}
 	m.finished = true
+	// No unit's TH is read after Run returns, so the run's store buffers
+	// go back to mhm for the next run's units.
+	defer m.releaseStoreBuffers()
 	if p.Threads() != m.cfg.Threads {
 		return nil, fmt.Errorf("sim: program %s wants %d threads, config has %d", p.Name(), p.Threads(), m.cfg.Threads)
 	}
@@ -224,6 +227,17 @@ func (m *Machine) Run(p Program) (*Result, error) {
 		res.Counters.StoreBufferEvictions = res.MHMStats.ConflictEvictions
 	}
 	return res, nil
+}
+
+// releaseStoreBuffers detaches every unit's store buffer for reuse.
+func (m *Machine) releaseStoreBuffers() {
+	if m.units == nil {
+		return
+	}
+	for _, u := range m.units {
+		u.SetStoreBuffer(0)
+	}
+	m.initUnit.SetStoreBuffer(0)
 }
 
 // NewMutex returns a named scheduler-aware mutex.
