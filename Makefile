@@ -8,7 +8,7 @@ all: test lint
 
 # Build every command, the checkfarm daemon included, into ./bin.
 build:
-	$(GO) build -o bin/ ./cmd/instantcheck ./cmd/statediff ./cmd/icvet ./cmd/checkd ./cmd/checkworker
+	$(GO) build -o bin/ ./cmd/instantcheck ./cmd/icvet ./cmd/checkd ./cmd/checkworker
 
 test:
 	$(GO) test ./...

@@ -85,8 +85,8 @@ func min(a, b int) int {
 }
 
 // TestSystematicFigure1 runs the §6.2 exploration on the paper's Figure 1
-// program shape via the quickstart pattern: pruning must shrink the tree
-// without changing the verdict.
+// program shape: pruning must shrink the tree without changing the
+// verdict.
 func TestSystematicFigure1(t *testing.T) {
 	app := WorkloadByName("radix") // real kernel, deterministic, has barriers
 	build := app.Builder(WorkloadOptions{Threads: 2, Small: true})

@@ -23,8 +23,8 @@ func TestListAnalyzers(t *testing.T) {
 // the /... pattern expansion.
 func TestCleanPackage(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run([]string{"../../examples/..."}, &out, &errb); code != 0 {
-		t.Fatalf("icvet ../../examples/...: exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	if code := run([]string{"../../internal/apps/..."}, &out, &errb); code != 0 {
+		t.Fatalf("icvet ../../internal/apps/...: exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	if out.Len() != 0 {
 		t.Errorf("clean run produced output:\n%s", out.String())

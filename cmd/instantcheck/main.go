@@ -13,12 +13,15 @@
 //	instantcheck fig8   [flags]           # Figure 8: seeded-bug distributions
 //	instantcheck exploreeff [flags]       # exploration-strategy efficiency
 //	instantcheck all    [flags]           # everything above
+//	instantcheck statediff <app> [flags]  # §2.3 bug localization (see statediff.go)
 //	instantcheck remote [-server URL] ... # drive a checkd daemon (see remote.go)
 //
 // Flags: -runs N and -threads N (0, the default, selects the experiment's
 // own: 30 runs on 8 threads per campaign, 10 runs for races, a 40-run
 // budget on 4 threads for exploreeff), -small (reduced inputs), -json
-// (print the rows as JSON), -seed S, -input S.
+// (print the rows as JSON), -seed S, -input S. statediff takes -runs,
+// -threads and -small, plus -bug kind (seed the workload's Figure 7 bug)
+// and -round (FP rounding).
 package main
 
 import (
@@ -37,9 +40,15 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	if cmd == "remote" {
-		// The remote client has its own verbs and flags; see remote.go.
-		if err := remote(os.Args[2:]); err != nil {
+	if cmd == "remote" || cmd == "statediff" {
+		// Both take their own flags; see remote.go and statediff.go.
+		var err error
+		if cmd == "remote" {
+			err = remote(os.Args[2:])
+		} else {
+			err = statediff(os.Args[2:], os.Stdout)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "instantcheck:", err)
 			os.Exit(1)
 		}
@@ -109,6 +118,7 @@ func parseArgs(cmd string, args []string) (target string, cfg instantcheck.Exper
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: instantcheck <list|check <app>|races <app>|table1|table2|fig5|fig6|fig8|exploreeff|all> [-runs N] [-threads N] [-small] [-json] [-seed S] [-input S]
        (-runs 0 and -threads 0, the defaults, select the experiment's default)
+       instantcheck statediff <app> [-runs N] [-threads N] [-small] [-bug semantic|atomicity|order] [-round]
        instantcheck remote [-server URL] <submit|status|report|jobs|hashlog|compare|cancel|stats> [args]`)
 }
 

@@ -36,7 +36,7 @@
 //   - a determinism-checking service, cmd/checkd (internal/farm): a
 //     daemon with a job queue, a worker pool that runs a campaign's
 //     independent runs in parallel (core's one replay pool, which
-//     Campaign.Check also runs on, one run at a time), an append-only
+//     Campaign.Check also runs on, one worker per core), an append-only
 //     crash-tolerant hash-log store that resumes half-finished campaigns
 //     across restarts, and an HTTP API — driven by `instantcheck remote`
 //     — whose hash-log streams can be diffed across hosts;
@@ -48,6 +48,8 @@
 //     traversal sweeps, fast-window hit rate) are all scrapeable;
 //     `instantcheck remote stats` renders a snapshot.
 //
-// Quick start: see examples/quickstart, which checks the paper's Figure 1
-// program — internally nondeterministic, externally deterministic.
+// Quick start: see ExampleCheck and ExampleNewMachine, which check the
+// paper's Figure 1 program — internally nondeterministic, externally
+// deterministic — and the other Example functions, one per walkthrough of
+// the paper.
 package instantcheck

@@ -8,7 +8,7 @@ import (
 
 // TestLoaderTypeChecks checks the stdlib-only loader fully type-checks
 // representative packages of the module: the apps corpus (imports sim,
-// mem, sched), an example main package, and the module root.
+// mem, sched), a main package, and the module root.
 func TestLoaderTypeChecks(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -19,7 +19,7 @@ func TestLoaderTypeChecks(t *testing.T) {
 		path string
 	}{
 		{"../apps", "instantcheck/internal/apps"},
-		{"../../examples/quickstart", "instantcheck/examples/quickstart"},
+		{"../../cmd/checkworker", "instantcheck/cmd/checkworker"},
 		{"../../", "instantcheck"},
 	} {
 		pkg, err := loader.Load(tc.dir)
@@ -62,15 +62,15 @@ func TestExpandPatterns(t *testing.T) {
 	}
 }
 
-// TestCorpusClean checks the real program corpus — the apps package and
-// every example — passes all five analyzers with suppressions honored:
-// the acceptance bar the tree is held to by make lint.
+// TestCorpusClean checks the real program corpus, the apps package,
+// passes all five analyzers with suppressions honored: the acceptance bar
+// the tree is held to by make lint.
 func TestCorpusClean(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := ExpandPatterns([]string{"../apps", "../../examples/..."})
+	dirs, err := ExpandPatterns([]string{"../apps/..."})
 	if err != nil {
 		t.Fatal(err)
 	}

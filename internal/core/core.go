@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -212,10 +213,10 @@ func (r *Report) NDetDistGroups() []DistGroup {
 }
 
 // Check runs the campaign and compares hashes across runs: the recording
-// run, then the replay runs one after another (Runner.ReplayAll on a pool
-// of one), then Assemble. A replay run depends only on the recording and
-// its run index, so a wider pool, as the farm runs, yields the same
-// report.
+// run, then the replay runs on one worker per core (Runner.ReplayAll at
+// runtime.GOMAXPROCS(0) width), then Assemble. A replay run depends only
+// on the recording and its run index, so the report does not depend on
+// the pool's width.
 func (c Campaign) Check(build Builder) (*Report, error) {
 	r, err := c.NewRunner(build)
 	if err != nil {
@@ -230,7 +231,7 @@ func (c Campaign) Check(build Builder) (*Report, error) {
 	for run := 1; run < c.Runs; run++ {
 		replays = append(replays, run)
 	}
-	err = r.ReplayAll(context.TODO(), replays, 1,
+	err = r.ReplayAll(context.TODO(), replays, runtime.GOMAXPROCS(0),
 		func(run int, res *sim.Result, _ time.Duration) error {
 			results[run] = res
 			return nil

@@ -37,8 +37,8 @@ func TestCampaignValidation(t *testing.T) {
 
 // TestParallelEqualsSequential is the order-independence invariant at run
 // granularity: a campaign whose replay runs execute on a pool of 8
-// concurrent workers assembles a report identical to Check's, which
-// replays on a pool of one, for a deterministic program, a
+// concurrent workers assembles a report identical to a pool of one's, and
+// so does Check at its own width, for a deterministic program, a
 // nondeterministic one, and one whose replay runs draw past the recorded
 // env stream.
 func TestParallelEqualsSequential(t *testing.T) {
@@ -48,35 +48,43 @@ func TestParallelEqualsSequential(t *testing.T) {
 	}{{"det", detBuilder}, {"racy", racyBuilder}, {"env-growth", envGrowthBuilder}} {
 		t.Run(tc.name, func(t *testing.T) {
 			camp := testCampaign()
-			seq, err := camp.Check(tc.build())
+			// assemble records, replays on a pool of width workers and
+			// assembles the report.
+			assemble := func(width int) *Report {
+				r, err := camp.NewRunner(tc.build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				results := make([]*sim.Result, camp.Runs)
+				if results[0], err = r.Record(); err != nil {
+					t.Fatal(err)
+				}
+				var replays []int
+				for run := 1; run < camp.Runs; run++ {
+					replays = append(replays, run)
+				}
+				err = r.ReplayAll(context.Background(), replays, width, func(run int, res *sim.Result, _ time.Duration) error {
+					results[run] = res
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := camp.Assemble(r.Name(), results)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			seq := assemble(1)
+			checked, err := camp.Check(tc.build())
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := camp.NewRunner(tc.build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			results := make([]*sim.Result, camp.Runs)
-			if results[0], err = r.Record(); err != nil {
-				t.Fatal(err)
-			}
-			var replays []int
-			for run := 1; run < camp.Runs; run++ {
-				replays = append(replays, run)
-			}
-			err = r.ReplayAll(context.Background(), replays, 8, func(run int, res *sim.Result, _ time.Duration) error {
-				results[run] = res
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := camp.Assemble(r.Name(), results)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("8-wide pool's report differs from a pool of one's:\nseq: %+v\npar: %+v", seq, par)
+			for name, rep := range map[string]*Report{"8-wide pool": assemble(8), "Check": checked} {
+				if !reflect.DeepEqual(seq, rep) {
+					t.Errorf("%s's report differs from a pool of one's:\nseq: %+v\ngot: %+v", name, seq, rep)
+				}
 			}
 		})
 	}
