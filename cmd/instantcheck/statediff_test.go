@@ -29,6 +29,33 @@ func TestStatediffLocalizesSeededBug(t *testing.T) {
 	}
 }
 
+// TestStatediffRespectsRounding checks that under -round the diff lists
+// only words that moved the State Hash. cholesky's factored matrix
+// (static:ch.a) holds floats whose last bits depend on the schedule; they
+// hash alike under the floor-to-0.001 policy, so with -round the report
+// leaves them out, and without it, where the hash compares raw bits, it
+// lists them.
+func TestStatediffRespectsRounding(t *testing.T) {
+	args := []string{"cholesky", "-small", "-threads", "4", "-runs", "10"}
+	for _, round := range []bool{false, true} {
+		a := args
+		if round {
+			a = append(a[:len(a):len(a)], "-round")
+		}
+		var out bytes.Buffer
+		if err := statediff(a, &out); err != nil {
+			t.Fatal(err)
+		}
+		s := out.String()
+		if !strings.Contains(s, "NONDETERMINISTIC") || !strings.Contains(s, "static:ch.freeHeads") {
+			t.Fatalf("statediff %q does not localize the free-list divergence:\n%s", a, s)
+		}
+		if got := strings.Contains(s, "static:ch.a#"); got == round {
+			t.Errorf("statediff %q lists static:ch.a: %v, want %v:\n%s", a, got, !round, s)
+		}
+	}
+}
+
 // TestStatediffArgumentErrors checks that a missing or unknown workload,
 // an unknown bug, a bug the workload does not host and a thread count the
 // daemon would refuse all fail before any run.

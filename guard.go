@@ -70,7 +70,7 @@ func AssertDeterministic(tb failer, camp Campaign, build Builder) *Report {
 	}
 	g := &GuardReport{Report: rep}
 	if d := rep.DiffSnapshots; d != nil {
-		g.Diffs = DiffStates(d.A, d.B)
+		g.Diffs = DiffStates(d.A, d.B, d.Round)
 	}
 	tb.Fatalf("%s", g.Format())
 	return rep

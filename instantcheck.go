@@ -160,7 +160,12 @@ type (
 
 // DiffStates compares two snapshots and returns the differing words in
 // address order, each mapped back to its allocation site and offset.
-func DiffStates(a, b *Snapshot) []Difference { return statediff.Diff(a, b) }
+// Float words compare under round, the policy the State Hash used
+// (DiffCapture.Round; the zero RoundPolicy compares raw bits), so only
+// words that moved the hash are listed.
+func DiffStates(a, b *Snapshot, round RoundPolicy) []Difference {
+	return statediff.Diff(a, b, round)
+}
 
 // SummarizeDiff groups differences by allocation site, largest first.
 func SummarizeDiff(diffs []Difference) []SiteSummary { return statediff.Summarize(diffs) }

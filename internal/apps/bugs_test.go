@@ -120,7 +120,7 @@ func TestBugLocalization(t *testing.T) {
 	if d == nil {
 		t.Fatal("no diff capture despite nondeterminism")
 	}
-	diffs := statediff.Diff(d.A, d.B)
+	diffs := statediff.Diff(d.A, d.B, d.Round)
 	if len(diffs) == 0 {
 		t.Fatal("snapshots at the first differing checkpoint are identical")
 	}
@@ -203,7 +203,7 @@ func TestPBZip2DanglingPointers(t *testing.T) {
 	if d == nil {
 		t.Fatal("no diff capture")
 	}
-	for _, diff := range statediff.Diff(d.A, d.B) {
+	for _, diff := range statediff.Diff(d.A, d.B, d.Round) {
 		if diff.Site != "static:pb.results" {
 			t.Errorf("nondeterminism outside the results table: %s", diff.Format())
 		}

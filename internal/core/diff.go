@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"instantcheck/internal/fpround"
 	"instantcheck/internal/mem"
 )
 
@@ -25,6 +26,10 @@ type DiffCapture struct {
 	A *mem.Snapshot
 	// B is the state of RunB at the same checkpoint.
 	B *mem.Snapshot
+	// Round is the policy the State Hash rounded float words with, the
+	// zero Policy when it hashed raw bits. A state diff compares float
+	// words under it, so it lists only words that moved the hash.
+	Round fpround.Policy
 }
 
 // captureDiff re-executes run 1 and run FirstNDetRun through a fresh
@@ -75,6 +80,9 @@ func (c Campaign) captureDiff(build Builder, rep *Report) error {
 		RunB:    runB + 1,
 		A:       resA.Checkpoints[ord].Snapshot,
 		B:       resB.Checkpoints[ord].Snapshot,
+	}
+	if c.RoundFP {
+		rep.DiffSnapshots.Round = c.Rounding
 	}
 	return nil
 }

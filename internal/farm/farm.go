@@ -255,8 +255,13 @@ type HashLogLine struct {
 // cross-host comparison.
 func WriteHashLog(w io.Writer, lines []HashLogLine) error {
 	bw := bufio.NewWriter(w)
+	var b []byte
 	for _, l := range lines {
-		if _, err := fmt.Fprintf(bw, "%d %d %016x %q\n", l.Run, l.Ordinal, uint64(l.SH), l.Label); err != nil {
+		b = strconv.AppendInt(b[:0], int64(l.Run), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(l.Ordinal), 10)
+		b = appendHex16(append(b, ' '), uint64(l.SH))
+		b = strconv.AppendQuote(append(b, ' '), l.Label)
+		if _, err := bw.Write(append(b, '\n')); err != nil {
 			return err
 		}
 	}

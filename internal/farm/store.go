@@ -171,6 +171,7 @@ type Store struct {
 	path    string
 	f       *os.File
 	w       *bufio.Writer
+	buf     []byte // AppendRun's record text, reused across runs
 	jobs    map[JobID]*JobLog
 	order   []JobID
 	maxID   int
@@ -381,10 +382,13 @@ func (s *Store) indexLine(line string, open map[runKey]*RunRecord) {
 // and every line before it survive a crash of the machine too; every
 // record resume builds on (job, jobend, explored, a check job's runs) is
 // durable.
-func (s *Store) appendLine(line string, durable bool) error {
+func (s *Store) appendLine(line []byte, durable bool) error {
 	start := time.Now()
 	err := func() error {
-		if _, err := s.w.WriteString(line + "\n"); err != nil {
+		if _, err := s.w.Write(line); err != nil {
+			return err
+		}
+		if err := s.w.WriteByte('\n'); err != nil {
 			return err
 		}
 		if err := s.w.Flush(); err != nil {
@@ -418,7 +422,7 @@ func (s *Store) BeginJob(id JobID, spec JobSpec) error {
 	if _, ok := s.jobs[id]; ok {
 		return fmt.Errorf("farm: job %s already in store", id)
 	}
-	if err := s.appendLine(fmt.Sprintf("job %s %s", id, specJSON), true); err != nil {
+	if err := s.appendLine(fmt.Appendf(nil, "job %s %s", id, specJSON), true); err != nil {
 		return err
 	}
 	s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunRecord)}
@@ -454,20 +458,41 @@ func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 		}
 		return nil
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "runstart %s %d\n", id, run)
+	b := appendRunKey(append(s.buf[:0], "runstart "...), id, run)
 	for _, cp := range rec.Checkpoints {
-		fmt.Fprintf(&sb, "cp %s %d %d %016x %q\n", id, run, cp.Ordinal, uint64(cp.SH), cp.Label)
+		b = appendRunKey(append(b, "\ncp "...), id, run)
+		b = strconv.AppendInt(append(b, ' '), int64(cp.Ordinal), 10)
+		b = appendHex16(append(b, ' '), uint64(cp.SH))
+		b = strconv.AppendQuote(append(b, ' '), cp.Label)
 	}
 	for _, o := range rec.Outputs {
-		fmt.Fprintf(&sb, "out %s %d %d %016x %d\n", id, run, o.FD, o.Hash, o.Bytes)
+		b = appendRunKey(append(b, "\nout "...), id, run)
+		b = strconv.AppendInt(append(b, ' '), int64(o.FD), 10)
+		b = appendHex16(append(b, ' '), o.Hash)
+		b = strconv.AppendUint(append(b, ' '), o.Bytes, 10)
 	}
-	fmt.Fprintf(&sb, "runend %s %d %d", id, run, len(rec.Checkpoints))
-	if err := s.appendLine(sb.String(), jl.Spec.Kind != "explore"); err != nil {
+	b = appendRunKey(append(b, "\nrunend "...), id, run)
+	b = strconv.AppendInt(append(b, ' '), int64(len(rec.Checkpoints)), 10)
+	s.buf = b
+	if err := s.appendLine(b, jl.Spec.Kind != "explore"); err != nil {
 		return err
 	}
 	jl.runs[run] = &rec
 	return nil
+}
+
+// appendRunKey appends "<id> <run>", the key every run line starts with.
+func appendRunKey(b []byte, id JobID, run int) []byte {
+	return strconv.AppendInt(append(append(b, id...), ' '), int64(run), 10)
+}
+
+// appendHex16 appends v as 16 lowercase hex digits, as "%016x" formats it.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // SetExploreOutcome records an explore job's search outcome. Written
@@ -485,7 +510,7 @@ func (s *Store) SetExploreOutcome(id JobID, out *ExploreOutcome) error {
 	if jl == nil {
 		return fmt.Errorf("farm: job %s not in store", id)
 	}
-	if err := s.appendLine(fmt.Sprintf("explored %s %s", id, outJSON), true); err != nil {
+	if err := s.appendLine(fmt.Appendf(nil, "explored %s %s", id, outJSON), true); err != nil {
 		return err
 	}
 	cp := *out
@@ -501,9 +526,9 @@ func (s *Store) EndJob(id JobID, status, errMsg string) error {
 	if jl == nil {
 		return fmt.Errorf("farm: job %s not in store", id)
 	}
-	line := fmt.Sprintf("jobend %s %s", id, status)
+	line := fmt.Appendf(nil, "jobend %s %s", id, status)
 	if errMsg != "" {
-		line += " " + strconv.Quote(errMsg)
+		line = strconv.AppendQuote(append(line, ' '), errMsg)
 	}
 	if err := s.appendLine(line, true); err != nil {
 		return err

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -241,6 +242,81 @@ func TestHashLogRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseHashLog(strings.NewReader("not a hash log\n")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestRecordLinesMatchFormat checks the store's run lines, its jobend line
+// and WriteHashLog's lines byte for byte against the fmt format strings
+// that defined them, over labels that need quoting (quotes, backslashes,
+// control bytes, non-ASCII and invalid UTF-8) and the extreme hash values.
+func TestRecordLinesMatchFormat(t *testing.T) {
+	labels := []string{"end", "", `odd "label" with spaces`, `back\slash`, "tab\tnl\nbell\a nul\x00", "naïve 日本 🎉", "\xff\xfe bad utf-8"}
+	hashes := []uint64{0, math.MaxUint64, 0xdeadbeef, 1 << 63}
+	res := func(run int) *sim.Result {
+		r := &sim.Result{Outputs: map[int]sim.OutputStream{
+			1: {Hash: math.MaxUint64, Bytes: math.MaxUint64},
+			2: {Hash: 0, Bytes: 0},
+		}}
+		for i, l := range labels[:len(labels)-run] { // later runs are shorter, to catch stale buffer bytes
+			r.Checkpoints = append(r.Checkpoints, sim.Checkpoint{Ordinal: i, Label: l, SH: ihash.Digest(hashes[(i+run)%len(hashes)])})
+		}
+		return r
+	}
+	path := filepath.Join(t.TempDir(), "farm.log")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.NextID()
+	if err := s.BeginJob(id, JobSpec{App: "radix", Runs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, run := range []int{0, 12345} {
+		r := res(run % 7)
+		if err := s.AppendRun(id, run, r); err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRunRecord(run, r)
+		want = append(want, fmt.Sprintf("runstart %s %d", id, run))
+		for _, cp := range rec.Checkpoints {
+			want = append(want, fmt.Sprintf("cp %s %d %d %016x %q", id, run, cp.Ordinal, uint64(cp.SH), cp.Label))
+		}
+		for _, o := range rec.Outputs {
+			want = append(want, fmt.Sprintf("out %s %d %d %016x %d", id, run, o.FD, o.Hash, o.Bytes))
+		}
+		want = append(want, fmt.Sprintf("runend %s %d %d", id, run, len(rec.Checkpoints)))
+	}
+	const msg = "bad \"spec\"\n\\ é"
+	if err := s.EndJob(id, "failed", msg); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, fmt.Sprintf("jobend %s %s %q", id, "failed", msg))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[2:] // past the header and job lines
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("store lines:\n got %q\nwant %q", got, want)
+	}
+
+	var lines []HashLogLine
+	var wantLog strings.Builder
+	for i, l := range labels {
+		hl := HashLogLine{Run: i * 1000, Ordinal: i, Label: l, SH: ihash.Digest(hashes[i%len(hashes)])}
+		lines = append(lines, hl)
+		fmt.Fprintf(&wantLog, "%d %d %016x %q\n", hl.Run, hl.Ordinal, uint64(hl.SH), hl.Label)
+	}
+	var gotLog strings.Builder
+	if err := WriteHashLog(&gotLog, lines); err != nil {
+		t.Fatal(err)
+	}
+	if gotLog.String() != wantLog.String() {
+		t.Errorf("hash log:\n got %q\nwant %q", gotLog.String(), wantLog.String())
 	}
 }
 

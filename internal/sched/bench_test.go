@@ -14,6 +14,19 @@ func BenchmarkHandoff(b *testing.B) {
 	})
 }
 
+// BenchmarkHandoff8 measures one Yield of eight threads at the default
+// interval: the random decider picks among eight runnable threads at each
+// budget expiry, the mix a table1 campaign runs. Most Yields are the
+// inlined budget decrement; about one in nine ends in a switch.
+func BenchmarkHandoff8(b *testing.B) {
+	s := New(8, 1, 0)
+	_ = s.Run(func(tid int) {
+		for i := tid; i < b.N; i += 8 {
+			s.Yield()
+		}
+	})
+}
+
 // BenchmarkYieldNoSwitch measures the fast path (no context switch).
 func BenchmarkYieldNoSwitch(b *testing.B) {
 	s := New(1, 1, 1<<30)

@@ -7,21 +7,24 @@
 // parallel stress runs; with a scripted decider (see Decider) schedules can
 // be enumerated systematically (paper §6.2).
 //
-// Threads are coroutines (iter.Pull): a context switch is a direct
-// coroutine handoff through the dispatcher rather than a channel
-// send/receive pair through the Go runtime's park/unpark machinery, which
-// makes the switch several times cheaper — and switches dominate the
-// scheduler's cost. Exactly one thread executes at any moment. Given the
-// same decisions the scheduler replays a run exactly; different seeds
-// explore different interleavings. The scheduler is not part of
-// InstantCheck itself — in real usage it is whatever testing tool the
-// programmer already uses — but the checker needs one to drive test runs.
+// Threads are coroutines (iter.Pull), and a context switch is one
+// coroutine switch: the thread giving up the CPU resumes its successor
+// itself, on the coroutine slot where the successor is parked, rather than
+// through a channel send/receive pair (the Go runtime's park/unpark
+// machinery) or a dispatcher goroutine between the two threads. Switches
+// dominate the scheduler's cost. Exactly one thread executes at any
+// moment. Given the same decisions the scheduler replays a run exactly;
+// different seeds explore different interleavings. The scheduler is not
+// part of InstantCheck itself — in real usage it is whatever testing tool
+// the programmer already uses — but the checker needs one to drive test
+// runs.
 package sched
 
 import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -41,21 +44,22 @@ type runAbort struct{}
 type Scheduler struct {
 	n       int
 	decider Decider
-	// resume[tid] re-enters thread tid's coroutine; yields[tid] is the
-	// thread-side suspend function (set by the coroutine on startup);
-	// stops[tid] unwinds the coroutine during shutdown.
-	resume []func() (struct{}, bool)
-	yields []func(struct{}) bool
-	stops  []func()
-	// nextTid is the dispatcher trampoline mailbox: a suspending thread
-	// nominates its successor here before yielding, and the dispatcher
-	// loop in Run performs the actual switch. -1 means no successor (all
-	// finished, or the run failed).
+	// slots[tid] is the coroutine thread tid's goroutine was started in. A
+	// coroutine switch on a slot swaps the calling goroutine with the one
+	// parked there, so goroutines migrate between slots: at[tid] is the
+	// slot where thread tid is parked, and Run's own goroutine waits in a
+	// slot too whenever a thread runs.
+	slots []slot
+	at    []int
+	// nextTid is the successor mailbox. A finishing thread nominates its
+	// successor here before its goroutine exits through its own slot, and
+	// the goroutine that exit wakes hands the CPU on. -1 means no successor
+	// (all finished, or the run failed).
 	nextTid int
-	// curTid is the thread currently executing, maintained by the
-	// dispatcher at every handoff. It lets the per-operation Yield fast
-	// path take no arguments at all, which keeps it (and the simulator's
-	// per-access wrappers around it) within the compiler's inline budget.
+	// curTid is the thread currently executing, set at every handoff to the
+	// thread handed the CPU. It lets the per-operation Yield fast path take
+	// no arguments at all, which keeps it (and the simulator's per-access
+	// wrappers around it) within the compiler's inline budget.
 	curTid      int
 	runnable    []int    // ids of runnable threads
 	runnablePos []int    // thread id -> index in runnable, or -1
@@ -71,7 +75,18 @@ type Scheduler struct {
 	lastBudget int
 	opsBase    uint64
 	aborted    bool
+	goexit     bool // a thread called runtime.Goexit
 	err        error
+}
+
+// slot is one thread's iter.Pull coroutine, seen as a place to park: a
+// switch on it resumes the goroutine parked there through next if that
+// goroutine waits in yield, and through yield if it waits in next.
+type slot struct {
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	inNext bool // the parked goroutine waits in next
+	closed bool // the slot's own thread goroutine has exited
 }
 
 // New returns a scheduler for n threads using the default seeded random
@@ -108,9 +123,8 @@ func NewControlled(n int, d Decider) *Scheduler {
 	s := &Scheduler{
 		n:           n,
 		decider:     d,
-		resume:      make([]func() (struct{}, bool), n),
-		yields:      make([]func(struct{}) bool, n),
-		stops:       make([]func(), n),
+		slots:       make([]slot, n),
+		at:          make([]int, n),
 		nextTid:     -1,
 		curTid:      -1, // no thread dispatched yet (see Decider.Pick)
 		runnable:    make([]int, 0, n),
@@ -120,6 +134,7 @@ func NewControlled(n int, d Decider) *Scheduler {
 		finished:    make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
+		s.at[i] = i
 		s.runnablePos[i] = -1
 		s.blockedEp[i] = -1
 	}
@@ -136,52 +151,100 @@ func (s *Scheduler) Ops() uint64 { return s.opsBase + uint64(s.lastBudget-s.unti
 
 // Run executes body(tid) for every thread id in [0, n) under the
 // serialized schedule and returns when all threads have finished. It
-// returns an error if the run deadlocks, a thread panics, or the run is
-// aborted.
+// returns an error if the run deadlocks, a thread panics, the decider
+// panics once a thread runs (a panic in the first Pick reaches Run's
+// caller), or the run is aborted. If a thread calls runtime.Goexit (as
+// t.FailNow does), the run ends and Run's caller exits through
+// runtime.Goexit too, as iter.Pull propagates it; either way every
+// thread's goroutine has unwound first.
 func (s *Scheduler) Run(body func(tid int)) error {
-	for i := 0; i < s.n; i++ {
-		s.addRunnable(i)
-	}
-	for i := 0; i < s.n; i++ {
-		tid := i
-		next, stop := iter.Pull(func(yield func(struct{}) bool) {
-			s.yields[tid] = yield
-			if !yield(struct{}{}) {
-				return // stopped before ever being scheduled
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(runAbort); ok {
-						return // clean shutdown unwind
-					}
-					s.fail(fmt.Errorf("sched: thread %d panicked: %v", tid, r))
-					return
-				}
-				s.finish(tid)
-			}()
-			body(tid)
-		})
-		s.resume[tid] = next
-		s.stops[tid] = stop
-		next() // start the coroutine; it parks awaiting its first schedule
-	}
-	// Dispatcher trampoline: hand control to the chosen thread; each time
-	// its coroutine suspends (or returns), switch to whichever successor it
-	// nominated. A switch is one yield + one resume — no runtime parking.
-	s.nextTid = s.pick()
-	for s.nextTid >= 0 {
-		tid := s.nextTid
-		s.nextTid = -1
-		s.curTid = tid
-		s.resume[tid]()
-	}
-	// Unwind every still-parked coroutine so their deferred cleanup runs
-	// before Run returns (the pending yield inside switchTo reports the
-	// stop and the thread panics runAbort).
 	for tid := 0; tid < s.n; tid++ {
-		s.stops[tid]()
+		s.addRunnable(tid)
+		s.slots[tid].next, _ = iter.Pull(s.thread(tid, body))
+	}
+	defer s.unwind()
+	// Run's goroutine hands the CPU to the first thread and is woken only
+	// when the slot it waits in closes; it then hands the CPU to the
+	// successor the finished thread nominated.
+	for next := s.pick(); next >= 0; next = s.nextTid {
+		s.handoff(-1, next)
+	}
+	if s.goexit {
+		runtime.Goexit()
 	}
 	return s.err
+}
+
+// thread returns thread tid's coroutine body. The coroutine starts when
+// the thread is first handed the CPU, runs body(tid), and retires the
+// thread or records why the run failed.
+func (s *Scheduler) thread(tid int, body func(tid int)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		sl := &s.slots[tid]
+		sl.yield = yield
+		defer func() { sl.closed = true }()
+		if s.aborted {
+			return // the run ended before this thread was ever scheduled
+		}
+		returned := false
+		defer func() {
+			r := recover()
+			switch {
+			case returned:
+				// finished, and finish nominated the successor
+			case r == nil:
+				// runtime.Goexit: the thread's own, or one propagated from
+				// the slot it waited in by iter.Pull's next.
+				s.goexit = true
+				s.fail(fmt.Errorf("sched: thread %d called runtime.Goexit", tid))
+			case r == runAbort{}:
+				// unwound
+			default:
+				s.fail(fmt.Errorf("sched: thread %d panicked: %v", tid, r))
+			}
+		}()
+		body(tid)
+		s.finish(tid) // recovered too: a panicking Pick fails the run
+		returned = true
+	}
+}
+
+// handoff parks the calling goroutine (thread self, or Run's when self is
+// -1) in the slot where thread next is parked, and resumes next there with
+// one coroutine switch. It returns true when a later handoff resumes the
+// caller, and false when the caller is woken instead by the exit of that
+// slot's own thread goroutine.
+func (s *Scheduler) handoff(self, next int) bool {
+	s.curTid = next
+	at := s.at[next]
+	if self >= 0 {
+		s.at[self] = at
+	}
+	sl := &s.slots[at]
+	if sl.inNext {
+		sl.inNext = false
+		return sl.yield(struct{}{})
+	}
+	sl.inNext = true
+	_, ok := sl.next()
+	return ok
+}
+
+// unwind resumes every thread goroutine still parked so that it unwinds
+// and exits: a thread that ran panics runAbort in switchTo, and one that
+// never ran returns at once. Resuming one thread can unwind several, since
+// each exit wakes the goroutine parked in the exiting thread's slot. Run
+// defers unwind, so it also runs when a thread's runtime.Goexit reaches
+// Run's goroutine, or the decider panics in Run's first Pick with the run
+// not marked failed; hence the aborted mark, which no resumed thread runs
+// past.
+func (s *Scheduler) unwind() {
+	s.aborted = true
+	for tid := range s.slots {
+		if !s.slots[tid].closed {
+			s.handoff(-1, tid)
+		}
+	}
 }
 
 // Yield is a potential preemption point for the currently running thread,
@@ -265,35 +328,39 @@ func (s *Scheduler) Abort(reason error) {
 	panic(runAbort{})
 }
 
-// switchTo suspends the calling thread after nominating next as its
-// successor; the dispatcher performs the handoff. It returns when the
-// scheduler later selects the caller again, and unwinds the caller if the
-// run was stopped in the meantime.
+// switchTo hands the CPU from the running thread tid to thread next and
+// returns when the scheduler later selects tid again. If tid is woken
+// instead by the exit of the thread whose slot it waits in, it hands the
+// CPU on to the successor that thread nominated, which may be tid itself.
+// It unwinds tid if the run was stopped in the meantime.
 func (s *Scheduler) switchTo(tid, next int) {
-	s.nextTid = next
-	if !s.yields[tid](struct{}{}) || s.aborted {
+	for next != tid && !s.aborted && !s.handoff(tid, next) {
+		next = s.nextTid
+	}
+	if s.aborted {
 		panic(runAbort{})
 	}
 }
 
-// finish retires the calling thread and nominates a successor, or leaves
-// the dispatcher with none if it was the last (or the run just deadlocked).
+// finish retires the calling thread and nominates its successor, or -1 if
+// it was the last (or the run failed, or its exit leaves a deadlock).
 func (s *Scheduler) finish(tid int) {
 	s.finished[tid] = true
 	s.nFinished++
 	s.removeRunnable(tid)
-	if s.nFinished == s.n {
-		return
-	}
-	if len(s.runnable) == 0 {
+	switch {
+	case s.aborted, s.nFinished == s.n:
+		s.nextTid = -1
+	case len(s.runnable) == 0:
 		s.fail(s.deadlockError())
-		return
+	default:
+		s.nextTid = s.pick()
+		s.curTid = s.nextTid
 	}
-	s.nextTid = s.pick()
 }
 
-// fail records the first failure and marks the run aborted; the dispatcher
-// then unwinds every parked thread before Run returns.
+// fail records the first failure and marks the run aborted: every thread
+// still parked unwinds when it is next resumed, and Run resumes each one.
 func (s *Scheduler) fail(err error) {
 	if s.err == nil {
 		s.err = err

@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // trace runs n threads that each append events to a shared log under the
@@ -291,6 +293,139 @@ func TestAbortUnwindsCleanly(t *testing.T) {
 		})
 		if !errors.Is(err, ErrAborted) || !errors.Is(err, reason) {
 			t.Fatalf("seed %d: err = %v", seed, err)
+		}
+	}
+}
+
+// TestRunEndingsLeaveNoGoroutine counts goroutines around runs that end in
+// every way a run can: normally, by Abort, by deadlock, by a thread panic
+// and by a thread calling runtime.Goexit (as t.FailNow does). Threads
+// contend for a mutex and are preempted at every operation, so when the
+// run ends, threads are parked in one another's coroutine slots, some
+// runnable and some blocked. No run may leave a goroutine behind. A
+// thread's Goexit must reach Run's caller: Run must not return, least of
+// all with a nil error that reports a truncated run as a success.
+func TestRunEndingsLeaveNoGoroutine(t *testing.T) {
+	const n = 4
+	pruned := errors.New("pruned")
+	endings := []struct {
+		name string
+		end  func(s *Scheduler, tid int)
+		want string // substring of Run's error; "" wants nil
+	}{
+		{"normal", func(*Scheduler, int) {}, ""},
+		{"abort", func(s *Scheduler, _ int) { s.Abort(pruned) }, "pruned"},
+		{"deadlock", nil, "deadlock"},
+		{"panic", func(*Scheduler, int) { panic("boom") }, "panicked: boom"},
+		{"goexit", func(*Scheduler, int) { runtime.Goexit() }, ""}, // Run must not return
+	}
+	for _, e := range endings {
+		for seed := int64(0); seed < 16; seed++ {
+			ender, at := int(seed%n), int(seed%5)
+			s := New(n, seed, 1+int(seed%3))
+			mu := NewMutex("m")
+			never := NewBarrier("never", n)
+			body := func(tid int) {
+				for i := 0; i < 8; i++ {
+					mu.Lock(s, tid)
+					s.Yield()
+					if tid == ender && i == at && e.end != nil {
+						e.end(s, tid)
+					}
+					mu.Unlock(s, tid)
+					s.Yield()
+				}
+				if e.end == nil && tid != 0 {
+					never.Await(s, tid) // thread 0 never arrives
+				}
+			}
+			before := runtime.NumGoroutine()
+			var err error
+			if e.name == "goexit" {
+				// Run's caller exits, so it needs a goroutine of its own,
+				// which lingers briefly after signalling done.
+				returned := false
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					err = s.Run(body)
+					returned = true
+				}()
+				<-done
+				if returned {
+					t.Errorf("goexit seed %d: Run returned (err = %v) instead of passing thread %d's Goexit on", seed, err, ender)
+				}
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			} else {
+				err = s.Run(body)
+				if e.want == "" && err != nil || e.want != "" && (err == nil || !strings.Contains(err.Error(), e.want)) {
+					t.Errorf("%s seed %d: err = %v, want %q", e.name, seed, err, e.want)
+				}
+			}
+			// A goroutine of an earlier test may still be exiting, so
+			// only an increase counts.
+			if got := runtime.NumGoroutine(); got > before {
+				t.Errorf("%s seed %d: %d goroutines after the run, %d before", e.name, seed, got, before)
+			}
+		}
+	}
+}
+
+// panicky picks round-robin among the runnable threads and panics at its
+// nth Pick.
+type panicky struct{ n, picks int }
+
+func (d *panicky) SwitchBudget() int { return 1 }
+
+func (d *panicky) Pick(_ int, runnable []int) int {
+	d.picks++
+	if d.picks == d.n {
+		panic("decider")
+	}
+	return runnable[d.picks%len(runnable)]
+}
+
+// TestDeciderPanicFailsRun makes the decider panic at each of a run's
+// Picks in turn: in Run's first Pick, at a forced switch in Yield, and in
+// the Pick a finishing thread makes for its successor, with threads parked
+// in one another's coroutine slots. A panic in the first Pick reaches
+// Run's caller; every later one fails the run with an error naming it. No
+// run may end with a nil error or leave a goroutine behind.
+func TestDeciderPanicFailsRun(t *testing.T) {
+	const n = 4
+	body := func(s *Scheduler) func(int) {
+		return func(tid int) {
+			for range 2 * tid {
+				s.Yield()
+			}
+		}
+	}
+	ref := &panicky{} // never panics: counts a run's Picks
+	s := NewControlled(n, ref)
+	if err := s.Run(body(s)); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= ref.picks; k++ {
+		before := runtime.NumGoroutine()
+		s := NewControlled(n, &panicky{n: k})
+		var err error
+		caught := func() (r any) {
+			defer func() { r = recover() }()
+			err = s.Run(body(s))
+			return nil
+		}()
+		switch {
+		case k == 1:
+			if caught != "decider" {
+				t.Errorf("pick 1: recovered %v (err %v), want the decider's panic", caught, err)
+			}
+		case caught != nil || err == nil || !strings.Contains(err.Error(), "panicked: decider"):
+			t.Errorf("pick %d: recovered %v, err = %v; want an error naming the decider's panic", k, caught, err)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("pick %d: %d goroutines after the run, %d before", k, got, before)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"instantcheck/internal/fpround"
 	"instantcheck/internal/mem"
 )
 
@@ -69,7 +70,11 @@ type SiteSummary struct {
 // Diff compares two snapshots and returns the differing words in address
 // order. Snapshots store their words as sorted parallel slices, so the
 // comparison is a single linear merge walk — no set construction or sort.
-func Diff(a, b *mem.Snapshot) []Difference {
+// Words of float blocks compare under round, the policy the State Hash
+// rounded them with (RoundBits), so a float that differs only below the
+// rounding granularity, and so left the hash unchanged, is not listed. The
+// zero Policy compares raw bits.
+func Diff(a, b *mem.Snapshot, round fpround.Policy) []Difference {
 	var out []Difference
 	emit := func(addr, va, vb uint64, onlyIn string) {
 		d := Difference{Addr: addr, A: va, B: vb, OnlyIn: onlyIn, Site: "?"}
@@ -85,6 +90,18 @@ func Diff(a, b *mem.Snapshot) []Difference {
 		}
 		out = append(out, d)
 	}
+	// hashEqual reports whether two values of the word at addr, live in
+	// both states, hash alike.
+	hashEqual := func(addr, va, vb uint64) bool {
+		if va == vb {
+			return true
+		}
+		if !round.Enabled() {
+			return false
+		}
+		blk := a.BlockAt(addr)
+		return blk != nil && blk.Kind == mem.KindFloat && round.RoundBits(va) == round.RoundBits(vb)
+	}
 	i, j := 0, 0
 	for i < len(a.Addrs) && j < len(b.Addrs) {
 		switch {
@@ -95,7 +112,7 @@ func Diff(a, b *mem.Snapshot) []Difference {
 			emit(b.Addrs[j], 0, b.Vals[j], "B")
 			j++
 		default:
-			if a.Vals[i] != b.Vals[j] {
+			if !hashEqual(a.Addrs[i], a.Vals[i], b.Vals[j]) {
 				emit(a.Addrs[i], a.Vals[i], b.Vals[j], "")
 			}
 			i, j = i+1, j+1

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"instantcheck/internal/fpround"
 	"instantcheck/internal/mem"
 )
 
@@ -20,7 +21,7 @@ func blk(base uint64, words int, site string, seq int, kind mem.Kind) *mem.Block
 func TestDiffIdentical(t *testing.T) {
 	b := []*mem.Block{blk(0x1000, 2, "s", 0, mem.KindWord)}
 	w := map[uint64]uint64{0x1000: 1, 0x1008: 2}
-	if d := Diff(snap(b, w), snap(b, w)); len(d) != 0 {
+	if d := Diff(snap(b, w), snap(b, w), fpround.Policy{}); len(d) != 0 {
 		t.Errorf("diffs on identical states: %v", d)
 	}
 }
@@ -38,7 +39,7 @@ func TestDiffAttribution(t *testing.T) {
 		0x1000: 1, 0x1008: 99, 0x1010: 3, 0x1018: 4,
 		0x2000: math.Float64bits(1.5), 0x2008: math.Float64bits(7.5),
 	})
-	diffs := Diff(a, b)
+	diffs := Diff(a, b, fpround.Policy{})
 	if len(diffs) != 2 {
 		t.Fatalf("%d diffs", len(diffs))
 	}
@@ -64,7 +65,7 @@ func TestDiffFootprintDivergence(t *testing.T) {
 	onlyA := blk(0x3000, 1, "extra", 1, mem.KindWord)
 	a := snap([]*mem.Block{shared, onlyA}, map[uint64]uint64{0x1000: 5, 0x3000: 9})
 	b := snap([]*mem.Block{shared}, map[uint64]uint64{0x1000: 5})
-	diffs := Diff(a, b)
+	diffs := Diff(a, b, fpround.Policy{})
 	if len(diffs) != 1 {
 		t.Fatalf("%d diffs", len(diffs))
 	}
@@ -79,7 +80,7 @@ func TestDiffFootprintDivergence(t *testing.T) {
 func TestDiffUnattributed(t *testing.T) {
 	a := snap(nil, map[uint64]uint64{0x5000: 1})
 	b := snap(nil, map[uint64]uint64{0x5000: 2})
-	diffs := Diff(a, b)
+	diffs := Diff(a, b, fpround.Policy{})
 	if len(diffs) != 1 || diffs[0].Site != "?" {
 		t.Errorf("%+v", diffs)
 	}
@@ -103,7 +104,7 @@ func TestSummarize(t *testing.T) {
 	wa[0x2000], wb[0x2000] = 7, 8
 	wa[0x2008], wb[0x2008] = 9, 9
 
-	sum := Summarize(Diff(snap(blocks, wa), snap(blocks, wb)))
+	sum := Summarize(Diff(snap(blocks, wa), snap(blocks, wb), fpround.Policy{}))
 	if len(sum) != 2 {
 		t.Fatalf("%d groups", len(sum))
 	}
@@ -122,7 +123,7 @@ func TestRender(t *testing.T) {
 	blocks := []*mem.Block{blk(0x1000, 2, "site", 0, mem.KindWord)}
 	a := snap(blocks, map[uint64]uint64{0x1000: 1, 0x1008: 2})
 	b := snap(blocks, map[uint64]uint64{0x1000: 9, 0x1008: 8})
-	out := Render(Diff(a, b), 1)
+	out := Render(Diff(a, b, fpround.Policy{}), 1)
 	if !strings.Contains(out, "2 differing words") {
 		t.Error("missing count:", out)
 	}
@@ -134,5 +135,26 @@ func TestRender(t *testing.T) {
 	}
 	if Render(nil, 5) != "0 differing words\n" {
 		t.Error("empty render")
+	}
+}
+
+// TestDiffUnderRounding checks float words compare under the rounding
+// policy the hash used: a float that moves only below the granularity is
+// not a difference, one that crosses it is, and an integer word with the
+// same bits is compared raw.
+func TestDiffUnderRounding(t *testing.T) {
+	blocks := []*mem.Block{
+		blk(0x1000, 2, "floats", 0, mem.KindFloat),
+		blk(0x2000, 1, "words", 0, mem.KindWord),
+	}
+	f := math.Float64bits
+	a := snap(blocks, map[uint64]uint64{0x1000: f(0.06053197463026586), 0x1008: f(0.1234), 0x2000: f(0.06053197463026586)})
+	b := snap(blocks, map[uint64]uint64{0x1000: f(0.06053197463026587), 0x1008: f(0.1244), 0x2000: f(0.06053197463026587)})
+	if got := len(Diff(a, b, fpround.Policy{})); got != 3 {
+		t.Errorf("raw bits: %d differing words, want 3", got)
+	}
+	diffs := Diff(a, b, fpround.Default)
+	if len(diffs) != 2 || diffs[0].Addr != 0x1008 || diffs[1].Addr != 0x2000 {
+		t.Errorf("under %v: %+v, want the words at 0x1008 and 0x2000", fpround.Default, diffs)
 	}
 }
