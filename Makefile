@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-smoke obs-smoke fleet-smoke explore-smoke exploreeff build table1 table2 figures everything cover fmt vet lint
+.PHONY: all test race bench bench-smoke smoke exploreeff build table1 table2 figures everything cover fmt vet lint
 
 all: test lint
 
@@ -31,19 +31,14 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run='TestDetectionRunFastPaths' .
 
-# Smoke gates over real checkd/checkworker processes, one cmd/smoke
-# scenario each (see its package doc): obs lints /metrics after a small
-# campaign; fleet SIGKILLs a worker mid-campaign and requires every report
-# byte-identical to a single-node daemon's; explore requires every search
-# strategy to find its seeded Figure 7 bug within budget.
-obs-smoke:
-	$(GO) run ./cmd/smoke obs
-
-fleet-smoke:
-	$(GO) run ./cmd/smoke fleet
-
-explore-smoke:
-	$(GO) run ./cmd/smoke explore
+# Smoke gates over real checkd/checkworker processes, the three cmd/smoke
+# scenarios in one run that builds the binaries once (see its package
+# doc): obs lints /metrics after a small campaign; explore requires every
+# search strategy to find its seeded Figure 7 bug within budget; fleet
+# SIGKILLs a worker mid-campaign and requires every report byte-identical
+# to a single-node daemon's. CI runs this target.
+smoke:
+	$(GO) run ./cmd/smoke obs explore fleet
 
 # The exploration-efficiency experiment: median runs-to-detect per
 # strategy on the three seeded Figure 7 bugs at equal budget (the table in

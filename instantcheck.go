@@ -170,8 +170,8 @@ func DiffStates(a, b *Snapshot, round RoundPolicy) []Difference {
 // SummarizeDiff groups differences by allocation site, largest first.
 func SummarizeDiff(diffs []Difference) []SiteSummary { return statediff.Summarize(diffs) }
 
-// RenderDiff renders the state-diff tool's report (per-site summary plus up
-// to maxLines individual differences).
+// RenderDiff renders the state-diff tool's report (up to maxLines per-site
+// summaries, largest first, then up to maxLines individual differences).
 func RenderDiff(diffs []Difference, maxLines int) string {
 	return statediff.Render(diffs, maxLines)
 }

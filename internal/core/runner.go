@@ -179,18 +179,19 @@ func (r *Runner) run(run int, addrLog *replay.AddrLog, env *replay.Env) (*sim.Re
 // without executing the recording run itself.
 type ReplayState struct {
 	// Program is the checked program's name (known after recording).
-	Program string
+	Program string `json:"program"`
 	// Addr is the recorded allocation-address log.
-	Addr *replay.AddrLog
+	Addr *replay.AddrLog `json:"addr"`
 	// Env holds the recorded env-call streams.
-	Env *replay.Env
+	Env *replay.Env `json:"env"`
 }
 
 // ReplayState exposes the recorded logs after Record has run. The returned
 // state shares the runner's live structures; callers that ship it across a
-// process boundary serialize it (see replay.AddrLog.MarshalBinary), which
-// makes the sharing moot, and in-process callers must treat it as
-// read-only — exactly the discipline Replay itself follows (clone-on-run).
+// process boundary serialize it (its JSON form, with the logs' entries
+// sorted, is the fleet's replay bundle), which makes the sharing moot, and
+// in-process callers must treat it as read-only — exactly the discipline
+// Replay itself follows (clone-on-run).
 func (r *Runner) ReplayState() (ReplayState, error) {
 	if !r.recorded {
 		return ReplayState{}, fmt.Errorf("core: ReplayState before Record")

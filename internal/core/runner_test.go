@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -214,23 +215,15 @@ func TestReplayRunnerFromShippedState(t *testing.T) {
 			}
 
 			// Serialize and reconstruct, as a worker on another host would.
-			ab, err := st.Addr.MarshalBinary()
+			raw, err := json.Marshal(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eb, err := st.Env.MarshalBinary()
-			if err != nil {
+			var shipped ReplayState
+			if err := json.Unmarshal(raw, &shipped); err != nil {
 				t.Fatal(err)
 			}
-			addr, err := replay.UnmarshalAddrLog(ab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := replay.UnmarshalEnv(eb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			worker, err := camp.NewReplayRunner(tc.build(), ReplayState{Program: st.Program, Addr: addr, Env: env})
+			worker, err := camp.NewReplayRunner(tc.build(), shipped)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,9 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -467,6 +469,39 @@ type CompareRequest struct {
 	LogB string `json:"log_b,omitempty"`
 }
 
+// Request body bounds, each at least 8× the largest body measured: a
+// JobSpec is under 1 KB, and a compare side may carry a saved hash log (a
+// 30-run full-input streamcluster log is 13,970,970 bytes of text).
+const (
+	maxSpecBody    = 64 << 10
+	maxCompareBody = 128 << 20
+)
+
+// DecodeBody decodes a JSON request body of at most limit bytes into v and
+// returns its length. A body that declares a longer Content-Length fails
+// before any of it is read, and one sent without a length fails at the
+// first byte past limit.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	if r.ContentLength > limit {
+		return 0, &http.MaxBytesError{Limit: limit}
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return 0, err
+	}
+	return len(body), json.Unmarshal(body, v)
+}
+
+// BodyStatus is the HTTP status for a DecodeBody error: 413 for a body over
+// its bound, 400 for any other failure.
+func BodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // Handler returns the HTTP API:
 //
 //	POST   /api/v1/jobs           submit a JobSpec, returns the Job
@@ -486,8 +521,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		if _, err := DecodeBody(w, r, maxSpecBody, &spec); err != nil {
+			httpError(w, BodyStatus(err), fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		job, err := s.Submit(spec)
@@ -545,8 +580,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/compare", func(w http.ResponseWriter, r *http.Request) {
 		var req CompareRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad compare request: %w", err))
+		if _, err := DecodeBody(w, r, maxCompareBody, &req); err != nil {
+			httpError(w, BodyStatus(err), fmt.Errorf("bad compare request: %w", err))
 			return
 		}
 		a, err := s.compareSide(req.JobA, req.LogA, "a")

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -313,6 +314,77 @@ func TestPostedParallelismNotPersisted(t *testing.T) {
 	for what, b := range map[string][]byte{"served job": served, "store": persisted} {
 		if strings.Contains(string(b), "parallelism") {
 			t.Errorf("%s carries the posted parallelism: %s", what, b)
+		}
+	}
+}
+
+// blanks reads as an endless run of spaces, so a test can post a body of
+// any size without holding it in memory.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// postOverBound posts a JSON object one byte longer than limit, declaring
+// its length or, when chunked, sending it without one, and returns the
+// response status.
+func postOverBound(t *testing.T, url string, limit int64, chunked bool) int {
+	t.Helper()
+	body := io.MultiReader(strings.NewReader("{"), io.LimitReader(blanks{}, limit-1), strings.NewReader("}"))
+	req, err := http.NewRequest(http.MethodPost, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !chunked {
+		req.ContentLength = limit + 1
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestRequestBodyBounds: a body one byte over an endpoint's bound gets 413,
+// and the daemon then serves a normal request on the same endpoint. A body
+// without a declared length is read up to the bound, so only the small
+// bound is tested that way.
+func TestRequestBodyBounds(t *testing.T) {
+	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 1})
+	var log strings.Builder
+	if err := WriteHashLog(&log, mkLog(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	compare, err := json.Marshal(CompareRequest{LogA: log.String(), LogB: log.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path    string
+		limit   int64
+		chunked bool
+		normal  string
+		status  int
+	}{
+		{"/api/v1/jobs", maxSpecBody, false, `{"app":"fft","runs":2,"threads":2,"small":true}`, http.StatusAccepted},
+		{"/api/v1/jobs", maxSpecBody, true, `{"app":"fft","runs":2,"threads":2,"small":true}`, http.StatusAccepted},
+		{"/api/v1/compare", maxCompareBody, false, string(compare), http.StatusOK},
+	} {
+		if got := postOverBound(t, c.BaseURL+tc.path, tc.limit, tc.chunked); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s (chunked %v): a body one byte over the bound got %d, want 413", tc.path, tc.chunked, got)
+		}
+		resp, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.normal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: the normal request after it got %s, want %d", tc.path, resp.Status, tc.status)
 		}
 	}
 }

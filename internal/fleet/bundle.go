@@ -2,23 +2,20 @@ package fleet
 
 // A bundle is the unit of the content-addressed replay-log store: the
 // recorded substrate one campaign's replay runs depend on — program name,
-// allocation-address log, env-call streams — in one deterministic byte
-// string. Determinism end to end (the component serializations sort their
-// entries, the container is a fixed field sequence) means identical
-// recordings always produce identical bundles and therefore identical
-// digests, so the fleet ships each recording at most once per worker and a
-// worker can verify a fetched or cached bundle against its key alone.
+// allocation-address log, env-call streams — as the JSON of a
+// core.ReplayState. The logs marshal with their entries sorted, so
+// identical recordings always produce identical bundles and therefore
+// identical digests: the fleet ships each recording at most once per
+// worker, and a worker verifies a fetched or cached bundle against its key
+// alone.
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
 
 	"instantcheck/internal/core"
 	"instantcheck/internal/replay"
 )
-
-// bundleMagic heads a serialized bundle; a version bump is a format break.
-const bundleMagic = "icbundle1"
 
 // MarshalBundle serializes a recorded replay state and returns the bytes
 // with their content digest — the blob and the key the coordinator
@@ -27,60 +24,24 @@ func MarshalBundle(st core.ReplayState) ([]byte, replay.Digest, error) {
 	if st.Addr == nil || st.Env == nil {
 		return nil, replay.Digest{}, fmt.Errorf("fleet: bundle needs recorded logs")
 	}
-	addr, err := st.Addr.MarshalBinary()
+	b, err := json.Marshal(st)
 	if err != nil {
-		return nil, replay.Digest{}, fmt.Errorf("fleet: marshal addr log: %w", err)
+		return nil, replay.Digest{}, fmt.Errorf("fleet: marshal bundle: %w", err)
 	}
-	env, err := st.Env.MarshalBinary()
-	if err != nil {
-		return nil, replay.Digest{}, fmt.Errorf("fleet: marshal env: %w", err)
-	}
-	b := []byte(bundleMagic)
-	b = binary.AppendUvarint(b, uint64(len(st.Program)))
-	b = append(b, st.Program...)
-	b = binary.AppendUvarint(b, uint64(len(addr)))
-	b = append(b, addr...)
-	b = binary.AppendUvarint(b, uint64(len(env)))
-	b = append(b, env...)
 	return b, replay.DigestBytes(b), nil
 }
 
 // UnmarshalBundle reads a bundle back into the replay state a worker hands
-// to core.Campaign.NewReplayRunner.
+// to core.Campaign.NewReplayRunner. It rejects malformed or truncated
+// JSON, bytes after it, an unknown field, a value of the wrong type, a
+// repeated log entry and a missing log.
 func UnmarshalBundle(raw []byte) (core.ReplayState, error) {
 	var st core.ReplayState
-	if len(raw) < len(bundleMagic) || string(raw[:len(bundleMagic)]) != bundleMagic {
-		return st, fmt.Errorf("fleet: bad bundle magic")
+	if err := replay.DecodeStrict(raw, &st); err != nil {
+		return core.ReplayState{}, fmt.Errorf("fleet: bad bundle: %w", err)
 	}
-	rest := raw[len(bundleMagic):]
-	next := func() ([]byte, error) {
-		n, used := binary.Uvarint(rest)
-		if used <= 0 || uint64(len(rest)-used) < n {
-			return nil, fmt.Errorf("fleet: truncated bundle")
-		}
-		field := rest[used : used+int(n)]
-		rest = rest[used+int(n):]
-		return field, nil
+	if st.Addr == nil || st.Env == nil {
+		return core.ReplayState{}, fmt.Errorf("fleet: bundle misses a recorded log")
 	}
-	program, err := next()
-	if err != nil {
-		return st, err
-	}
-	addrBytes, err := next()
-	if err != nil {
-		return st, err
-	}
-	envBytes, err := next()
-	if err != nil {
-		return st, err
-	}
-	addr, err := replay.UnmarshalAddrLog(addrBytes)
-	if err != nil {
-		return st, fmt.Errorf("fleet: bundle addr log: %w", err)
-	}
-	env, err := replay.UnmarshalEnv(envBytes)
-	if err != nil {
-		return st, fmt.Errorf("fleet: bundle env: %w", err)
-	}
-	return core.ReplayState{Program: string(program), Addr: addr, Env: env}, nil
+	return st, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -404,10 +403,10 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 	c.mu.Unlock()
 
 	accepted := 0
-	var deliverErr error
+	var failure error
 	for _, rec := range fresh {
 		if err := camp.deliver(rec.Run, rec.Result()); err != nil {
-			deliverErr = fmt.Errorf("fleet: job %s run %d: %w", req.Job, rec.Run, err)
+			failure = fmt.Errorf("fleet: job %s run %d: %w", req.Job, rec.Run, err)
 			break
 		}
 		accepted++
@@ -419,9 +418,12 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 	if camp != nil {
 		camp.inflight -= len(fresh)
 	}
-	if deliverErr != nil {
-		camp.failLocked(deliverErr)
-		c.opts.Logf("fleet: %v", deliverErr)
+	if failure == nil && req.Error != "" && camp != nil && !camp.closed {
+		failure = fmt.Errorf("fleet: job %s: worker %s cannot execute lease %s: %s", req.Job, req.Worker, req.LeaseID, req.Error)
+	}
+	if failure != nil {
+		camp.failLocked(failure)
+		c.opts.Logf("%v", failure)
 	}
 	if camp != nil && !camp.closed && len(camp.outstanding) == 0 && camp.inflight == 0 {
 		camp.closed = true
@@ -432,8 +434,8 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 			delete(c.leases, req.LeaseID)
 			c.m.shardsCompleted.Inc()
 			if camp != nil && camp.failed == nil {
-				// A shard released with undelivered runs (worker-side replay
-				// failure) goes straight back, no expiry wait.
+				// A shard released with undelivered runs and no error (the
+				// worker stopped short) goes straight back, no expiry wait.
 				c.requeueLocked(camp, l)
 			}
 		}
@@ -457,6 +459,15 @@ func (c *Coordinator) blobData(digest string) []byte {
 	return nil
 }
 
+// Request body bounds, each at least 8× the largest body measured: a lease
+// or heartbeat request is under 1 KB, and the largest results batch is four
+// full-input streamcluster records of 798,822 bytes each.
+const (
+	maxLeaseBody     = 64 << 10
+	maxHeartbeatBody = 64 << 10
+	maxResultsBody   = 32 << 20
+)
+
 // Handler returns the fleet's worker-facing HTTP API, with full paths so it
 // mounts under /api/v1/fleet/ on the daemon's mux:
 //
@@ -468,32 +479,28 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/fleet/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad lease request: %w", err))
+		if _, err := farm.DecodeBody(w, r, maxLeaseBody, &req); err != nil {
+			httpError(w, farm.BodyStatus(err), fmt.Errorf("bad lease request: %w", err))
 			return
 		}
 		writeJSON(w, http.StatusOK, leaseResponse{Lease: c.nextLease(req.Worker)})
 	})
 	mux.HandleFunc("POST /api/v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req heartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad heartbeat: %w", err))
+		if _, err := farm.DecodeBody(w, r, maxHeartbeatBody, &req); err != nil {
+			httpError(w, farm.BodyStatus(err), fmt.Errorf("bad heartbeat: %w", err))
 			return
 		}
 		writeJSON(w, http.StatusOK, heartbeatResponse{OK: c.heartbeat(req.LeaseID, req.Worker)})
 	})
 	mux.HandleFunc("POST /api/v1/fleet/results", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("read results: %w", err))
-			return
-		}
 		var req resultsRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad results request: %w", err))
+		n, err := farm.DecodeBody(w, r, maxResultsBody, &req)
+		if err != nil {
+			httpError(w, farm.BodyStatus(err), fmt.Errorf("bad results request: %w", err))
 			return
 		}
-		accepted, ok := c.acceptResults(&req, len(body))
+		accepted, ok := c.acceptResults(&req, n)
 		writeJSON(w, http.StatusOK, resultsResponse{Accepted: accepted, LeaseOK: ok})
 	})
 	mux.HandleFunc("GET /api/v1/fleet/blob/{digest}", func(w http.ResponseWriter, r *http.Request) {
@@ -503,7 +510,7 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		c.m.blobServeBytes.Add(uint64(len(data)))
-		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	})
 	return mux

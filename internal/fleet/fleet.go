@@ -23,6 +23,9 @@
 //     idempotent by (job, run): the store commits one canonical record set
 //     even when a re-dispatched shard races its not-quite-dead predecessor,
 //     so stragglers are harmless, never double-counted;
+//   - a shard a worker cannot execute from a bundle that matched its digest
+//     would fail on every worker, so the worker reports the cause on its
+//     final batch and the coordinator fails the job;
 //   - because the per-run hash vectors are the only thing that travels and
 //     report assembly is commutative over runs, a fleet campaign's report
 //     is byte-identical to a single-node campaign's — regardless of worker
@@ -80,6 +83,10 @@ type resultsRequest struct {
 	Records []farm.RunRecord `json:"records"`
 	// Done marks the shard's final batch: the lease is released.
 	Done bool `json:"done"`
+	// Error, set only on a final batch, is why the worker could not execute
+	// the rest of the shard from a bundle that matched its digest. The
+	// coordinator fails the job with it.
+	Error string `json:"error,omitempty"`
 }
 
 // resultsResponse acknowledges a batch. LeaseOK false tells the worker the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,6 +18,7 @@ import (
 	"instantcheck/internal/core"
 	"instantcheck/internal/farm"
 	"instantcheck/internal/obs"
+	"instantcheck/internal/replay"
 	"instantcheck/internal/sim"
 )
 
@@ -61,8 +64,9 @@ func recordedRunner(t testing.TB, spec farm.JobSpec) (core.Campaign, *core.Runne
 // TestBundleRoundTrip checks the content-addressed unit of the fleet: a
 // recorded replay state marshals deterministically, round-trips, and the
 // reconstructed state replays to the same hash vectors as the original.
+// cholesky's recording logs allocations, so the bundle carries content.
 func TestBundleRoundTrip(t *testing.T) {
-	spec := fleetSpec("fft", 4)
+	spec := fleetSpec("cholesky", 4)
 	camp, runner, _ := recordedRunner(t, spec)
 	st, err := runner.ReplayState()
 	if err != nil {
@@ -110,13 +114,10 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 
 	// Truncations fail loudly, never as empty logs.
-	for cut := 1; cut < len(raw); cut += len(raw)/7 + 1 {
+	for cut := 0; cut < len(raw); cut++ {
 		if _, err := UnmarshalBundle(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes unmarshaled cleanly", cut)
 		}
-	}
-	if _, err := UnmarshalBundle([]byte("not a bundle at all")); err == nil {
-		t.Fatal("garbage unmarshaled cleanly")
 	}
 }
 
@@ -235,6 +236,141 @@ func TestCoordinatorProtocol(t *testing.T) {
 	}
 	if len(delivered) != camp.Runs-1 {
 		t.Fatalf("delivered %d distinct runs, want %d", len(delivered), camp.Runs-1)
+	}
+}
+
+// TestUnexecutableShardFailsJob: when a worker cannot execute a shard from
+// a bundle that matches its digest (it does not decode, the spec does not
+// resolve, a replayed run fails), every worker would fail the same way,
+// so the campaign fails with the worker's error within one lease TTL. The
+// shard is neither left to expire nor re-queued.
+func TestUnexecutableShardFailsJob(t *testing.T) {
+	const ttl = 5 * time.Second
+	for _, tc := range []struct {
+		name string
+		spec farm.JobSpec
+		// bundle, when set, replaces the recorded bundle under its own digest.
+		bundle []byte
+		want   string
+	}{
+		{"undecodable bundle", fleetSpec("fft", 4), []byte("not a bundle"), "bad bundle"},
+		{"unresolvable spec", fleetSpec("nosuchapp", 4), nil, "bad spec"},
+		// Two allocations logged at one address: the first replayed run fails.
+		{"failing replay", fleetSpec("cholesky", 4), []byte(`{"program":"cholesky","addr":[` +
+			`{"site":"cholesky.taskNode","seq":0,"addr":268435456},` +
+			`{"site":"cholesky.taskNode","seq":1,"addr":268435456}],"env":[]}`), "still live"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, runner, need := recordedRunner(t, fleetSpec("fft", 4))
+			c := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl, Logf: t.Logf})
+			hs := httptest.NewServer(c.Handler())
+			defer hs.Close()
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			dispatchErr := make(chan error, 1)
+			go func() {
+				dispatchErr <- c.Dispatch(ctx, "j000001", tc.spec, runner, need,
+					func(int, *sim.Result) error { return nil })
+			}()
+			// Dispatch registers the campaign asynchronously; swap the bundle
+			// in before the worker starts.
+			for {
+				c.mu.Lock()
+				camp := c.campaigns["j000001"]
+				if camp != nil && tc.bundle != nil {
+					delete(c.blobs, camp.digest)
+					camp.digest = replay.DigestBytes(tc.bundle)
+					c.blobs[camp.digest] = &blob{data: tc.bundle, refs: 1}
+				}
+				c.mu.Unlock()
+				if camp != nil {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			w, err := NewWorker(WorkerOptions{Name: "w0", Coordinator: hs.URL, CacheDir: t.TempDir(),
+				PollInterval: 5 * time.Millisecond, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			workerDone := make(chan struct{})
+			go func() {
+				defer close(workerDone)
+				w.Run(ctx)
+			}()
+			defer func() {
+				cancel()
+				<-workerDone
+			}()
+
+			select {
+			case err := <-dispatchErr:
+				if err == nil || !strings.Contains(err.Error(), "worker w0") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Dispatch returned %v, want an error naming worker w0 and %q", err, tc.want)
+				}
+			case <-time.After(ttl):
+				t.Fatalf("Dispatch still waiting after one lease TTL")
+			}
+			if got := c.m.shardsLeased.With("w0").Value(); got != 1 {
+				t.Errorf("shards leased = %d, want 1", got)
+			}
+			if got := c.m.shardsExpired.Value() + c.m.runsRequeued.Value(); got != 0 {
+				t.Errorf("%d leases expired or runs re-queued, want none", got)
+			}
+		})
+	}
+}
+
+// blanks reads as an endless run of spaces, so a test can post a body of
+// any size without holding it in memory.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRequestBodyBounds: a worker-facing body one byte over its endpoint's
+// bound gets 413, and the coordinator then serves a normal request on the
+// same endpoint.
+func TestRequestBodyBounds(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	hs := httptest.NewServer(c.Handler())
+	defer hs.Close()
+	for _, tc := range []struct {
+		path   string
+		limit  int64
+		normal string
+	}{
+		{"/api/v1/fleet/lease", maxLeaseBody, `{"worker":"w0"}`},
+		{"/api/v1/fleet/heartbeat", maxHeartbeatBody, `{"lease_id":"L000001","worker":"w0"}`},
+		{"/api/v1/fleet/results", maxResultsBody, `{"lease_id":"L000001","worker":"w0","job":"j000001","records":[],"done":true}`},
+	} {
+		body := io.MultiReader(strings.NewReader("{"), io.LimitReader(blanks{}, tc.limit-1), strings.NewReader("}"))
+		req, err := http.NewRequest(http.MethodPost, hs.URL+tc.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = tc.limit + 1
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: a body one byte over the bound got %s, want 413", tc.path, resp.Status)
+		}
+		resp, err = http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.normal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s: the normal request after it got %s", tc.path, resp.Status)
+		}
 	}
 }
 

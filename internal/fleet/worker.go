@@ -118,11 +118,16 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // executeShard runs one lease to completion: ensure the bundle, replay each
-// run, stream batches, heartbeat throughout.
+// run, stream batches, heartbeat throughout. A shard the worker cannot
+// execute from a verified bundle (it does not decode, the spec does not
+// resolve, a run fails) ends with the cause on the final results batch:
+// every worker would fail it the same way, so the coordinator fails the job
+// instead of re-dispatching the shard.
 func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
-	st, hit, err := w.ensureBundle(ctx, li.Digest)
+	raw, hit, err := w.ensureBundle(ctx, li.Digest)
 	if err != nil {
-		// Leave the lease to expire; the shard re-dispatches elsewhere.
+		// A failed fetch or a digest mismatch may pass: leave the lease to
+		// expire, and the shard re-dispatches.
 		w.o.Logf("fleet worker %s: lease %s: bundle %s: %v", w.o.Name, li.LeaseID, li.Digest, err)
 		return
 	}
@@ -130,16 +135,7 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 	if hit {
 		fetch = "hit"
 	}
-	camp, build, err := li.Spec.Resolve()
-	if err != nil {
-		w.o.Logf("fleet worker %s: lease %s: bad spec: %v", w.o.Name, li.LeaseID, err)
-		return
-	}
-	runner, err := camp.NewReplayRunner(build, st)
-	if err != nil {
-		w.o.Logf("fleet worker %s: lease %s: %v", w.o.Name, li.LeaseID, err)
-		return
-	}
+	runner, execErr := replayRunner(li, raw)
 
 	// shardCtx dies with the lease: the heartbeat loop cancels it when the
 	// coordinator reports the lease gone, which stops replay work whose
@@ -157,12 +153,12 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 	records := make(chan farm.RunRecord, batchSize*maxInFlight)
 	senderDone := make(chan error, 1)
 	go func() {
-		senderDone <- w.sendResults(shardCtx, li, fetch, records)
+		senderDone <- w.sendResults(shardCtx, li, fetch, records, &execErr)
 	}()
 
 	executed := 0
 	for _, run := range li.Runs {
-		if shardCtx.Err() != nil {
+		if execErr != nil || shardCtx.Err() != nil {
 			break
 		}
 		if w.o.RunLatency > 0 && !sleepCtx(shardCtx, w.o.RunLatency) {
@@ -170,7 +166,7 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 		}
 		res, err := runner.Replay(run)
 		if err != nil {
-			w.o.Logf("fleet worker %s: lease %s run %d: %v", w.o.Name, li.LeaseID, run, err)
+			execErr = fmt.Errorf("run %d: %w", run, err)
 			break
 		}
 		select {
@@ -182,10 +178,13 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 			break
 		}
 	}
-	close(records)
+	close(records) // orders every write of execErr before the sender reads it
 	err = <-senderDone
 	cancel()
 	<-hbDone
+	if execErr != nil {
+		w.o.Logf("fleet worker %s: lease %s: %v", w.o.Name, li.LeaseID, execErr)
+	}
 	if err != nil && ctx.Err() == nil {
 		w.o.Logf("fleet worker %s: lease %s: results: %v", w.o.Name, li.LeaseID, err)
 	}
@@ -193,10 +192,25 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 		w.o.Name, li.LeaseID, executed, len(li.Runs), fetch)
 }
 
+// replayRunner decodes a verified bundle and builds the runner that replays
+// the lease's runs.
+func replayRunner(li *LeaseInfo, raw []byte) (*core.Runner, error) {
+	st, err := UnmarshalBundle(raw)
+	if err != nil {
+		return nil, fmt.Errorf("bundle %s: %w", li.Digest, err)
+	}
+	camp, build, err := li.Spec.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("bad spec: %w", err)
+	}
+	return camp.NewReplayRunner(build, st)
+}
+
 // sendResults drains the record channel into batched POSTs, the final batch
-// flagged Done so the coordinator releases the lease promptly. A batch the
-// coordinator answers with lease_ok=false aborts the shard.
-func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, records <-chan farm.RunRecord) error {
+// flagged Done so the coordinator releases the lease promptly, and carrying
+// *execErr, which it reads once records is closed. A batch the coordinator
+// answers with lease_ok=false aborts the shard.
+func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, records <-chan farm.RunRecord, execErr *error) error {
 	first := true
 	var batch []farm.RunRecord
 	flush := func(done bool) error {
@@ -213,6 +227,9 @@ func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, r
 		if first {
 			req.Fetch = fetch
 			first = false
+		}
+		if done && *execErr != nil {
+			req.Error = (*execErr).Error()
 		}
 		batch = batch[:0]
 		var resp resultsResponse
@@ -275,31 +292,25 @@ func (w *Worker) requestLease(ctx context.Context) (*LeaseInfo, error) {
 	return resp.Lease, nil
 }
 
-// ensureBundle returns the replay state for a digest, from the disk cache
+// ensureBundle returns the bundle bytes for a digest, from the disk cache
 // when possible (reporting hit=true), else fetched from the coordinator,
 // verified, and cached. Cache contents are never trusted blindly: a file
 // whose bytes do not hash to its name is discarded and re-fetched.
-func (w *Worker) ensureBundle(ctx context.Context, digest string) (core.ReplayState, bool, error) {
+func (w *Worker) ensureBundle(ctx context.Context, digest string) ([]byte, bool, error) {
 	d, err := replay.ParseDigest(digest)
 	if err != nil {
-		return core.ReplayState{}, false, err
+		return nil, false, err
 	}
 	path := filepath.Join(w.o.CacheDir, digest)
 	if raw, err := os.ReadFile(path); err == nil && replay.DigestBytes(raw) == d {
-		if st, err := UnmarshalBundle(raw); err == nil {
-			return st, true, nil
-		}
+		return raw, true, nil
 	}
 	raw, err := w.fetchBlob(ctx, digest)
 	if err != nil {
-		return core.ReplayState{}, false, err
+		return nil, false, err
 	}
 	if replay.DigestBytes(raw) != d {
-		return core.ReplayState{}, false, fmt.Errorf("fleet: fetched bundle does not match digest %s", digest)
-	}
-	st, err := UnmarshalBundle(raw)
-	if err != nil {
-		return core.ReplayState{}, false, err
+		return nil, false, fmt.Errorf("fleet: fetched bundle does not match digest %s", digest)
 	}
 	// Cache best-effort via temp-and-rename, so a crashed worker never
 	// leaves a torn file under a valid digest name.
@@ -315,7 +326,7 @@ func (w *Worker) ensureBundle(ctx context.Context, digest string) (core.ReplaySt
 			}
 		}
 	}
-	return st, false, nil
+	return raw, false, nil
 }
 
 // fetchBlob downloads a bundle.

@@ -170,7 +170,7 @@ func SumBy(samples []Sample, name, label string) map[string]float64 {
 
 // ParseExposition reads Prometheus text exposition format into samples,
 // skipping comments. It is the reader used by `instantcheck remote stats`
-// and by the obs-smoke gate; malformed lines are errors, not skips.
+// and by the smoke gate's obs scenario; malformed lines are errors, not skips.
 func ParseExposition(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(r)
@@ -297,7 +297,7 @@ func unquoteLabel(s string) (value, tail string, err error) {
 	return "", "", fmt.Errorf("unterminated quoted value")
 }
 
-// Lint validates a full exposition payload the way the CI obs-smoke gate
+// Lint validates a full exposition payload the way the CI smoke gate
 // needs: every sample parses, every sample's family carries a # TYPE line
 // that precedes it, no (name, labels) pair repeats, and histogram bucket
 // series are cumulative. A non-nil error means the payload is malformed.

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -13,12 +14,12 @@ func TestAddrLogMarshalRoundTrip(t *testing.T) {
 	l.Record("alloc@worker.go:44", 0, 0x8000_0000_0000)
 	l.Record("z", 7, 1)
 
-	b, err := l.MarshalBinary()
+	b, err := json.Marshal(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalAddrLog(b)
-	if err != nil {
+	got := new(AddrLog)
+	if err := json.Unmarshal(b, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != l.Len() {
@@ -33,8 +34,8 @@ func TestAddrLogMarshalRoundTrip(t *testing.T) {
 }
 
 // TestAddrLogDigestDeterministic: insertion order must not matter — the
-// digest is a content address, so two recordings of the same execution must
-// key the same blob.
+// digest of the bytes is a content address, so two recordings of the same
+// execution must key the same blob.
 func TestAddrLogDigestDeterministic(t *testing.T) {
 	a, b := NewAddrLog(), NewAddrLog()
 	entries := []struct {
@@ -50,33 +51,31 @@ func TestAddrLogDigestDeterministic(t *testing.T) {
 	for i := len(entries) - 1; i >= 0; i-- {
 		b.Record(entries[i].site, entries[i].seq, entries[i].addr)
 	}
-	da, err := a.Digest()
+	ja, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := b.Digest()
+	jb, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if da != db {
-		t.Fatalf("digest depends on insertion order: %s != %s", da, db)
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("bytes depend on insertion order:\n%s\n%s", ja, jb)
 	}
 
 	b.Record("s9", 0, 99)
-	db2, _ := b.Digest()
-	if db2 == db {
-		t.Fatal("digest did not change with content")
+	jb2, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(jb2, jb) {
+		t.Fatal("bytes did not change with content")
 	}
 }
 
 // TestDigestHexRoundTrip: the wire form of a digest parses back.
 func TestDigestHexRoundTrip(t *testing.T) {
-	l := NewAddrLog()
-	l.Record("s", 0, 42)
-	d, err := l.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := DigestBytes([]byte(`[{"site":"s","seq":0,"addr":42}]`))
 	got, err := ParseDigest(d.String())
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +99,12 @@ func TestEnvRoundTrip(t *testing.T) {
 	}
 	want = append(want, e.Next(3, "gettimeofday"))
 
-	b, err := e.MarshalBinary()
+	b, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalEnv(b)
-	if err != nil {
+	back := new(Env)
+	if err := json.Unmarshal(b, back); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +136,7 @@ func TestEnvMarshalDeterministic(t *testing.T) {
 		e.Rand(0)
 		e.Next(1, "gettimeofday")
 		e.Rand(1)
-		b, err := e.MarshalBinary()
+		b, err := json.Marshal(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,21 +155,27 @@ func TestEnvMarshalDeterministic(t *testing.T) {
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	l := NewAddrLog()
 	l.Record("site", 0, 0xdead)
-	b, _ := l.MarshalBinary()
-	if _, err := UnmarshalAddrLog(b[:len(b)-1]); err == nil {
-		t.Error("truncated addr log accepted")
+	b, err := json.Marshal(l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := UnmarshalAddrLog([]byte("icenv1")); err == nil {
-		t.Error("wrong magic accepted")
+	if err := json.Unmarshal(b[:len(b)-1], new(AddrLog)); err == nil {
+		t.Error("truncated addr log accepted")
 	}
 
 	e := NewEnv(1)
 	e.Rand(0)
-	eb, _ := e.MarshalBinary()
-	if _, err := UnmarshalEnv(eb[:len(eb)-1]); err == nil {
+	eb, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(eb[:len(eb)-1], new(Env)); err == nil {
 		t.Error("truncated env accepted")
 	}
-	if _, err := UnmarshalEnv(b); err == nil {
+	if err := json.Unmarshal(eb, new(AddrLog)); err == nil {
+		t.Error("env bytes accepted as addr log")
+	}
+	if err := json.Unmarshal(b, new(Env)); err == nil {
 		t.Error("addr log bytes accepted as env")
 	}
 }

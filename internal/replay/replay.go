@@ -10,6 +10,9 @@
 //     every subsequent run. As with any input, tests may vary them between
 //     *campaigns* to increase coverage, but within one determinism-checking
 //     campaign they are fixed.
+//
+// Both recordings marshal to JSON with their entries sorted (marshal.go),
+// the form in which a fleet coordinator ships them to its workers.
 package replay
 
 import (

@@ -160,12 +160,18 @@ func Summarize(diffs []Difference) []SiteSummary {
 	return out
 }
 
-// Render produces the tool's human-readable report: per-site summary first,
-// then up to maxLines individual differences.
+// Render produces the tool's human-readable report: up to maxLines per-site
+// summaries, largest first, then up to maxLines individual differences.
+// maxLines <= 0 lists every site and no individual difference.
 func Render(diffs []Difference, maxLines int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d differing words\n", len(diffs))
-	for _, s := range Summarize(diffs) {
+	sites := Summarize(diffs)
+	shownSites := len(sites)
+	if maxLines > 0 && shownSites > maxLines {
+		shownSites = maxLines
+	}
+	for _, s := range sites[:shownSites] {
 		offs := make([]string, 0, len(s.Offsets))
 		for _, o := range s.Offsets {
 			offs = append(offs, fmt.Sprint(o))
@@ -179,6 +185,9 @@ func Render(diffs []Difference, maxLines int) string {
 		}
 		fmt.Fprintf(&sb, "  site %-28s %6d words at offsets [%s%s]\n",
 			s.Site, s.Words, strings.Join(shown, ","), suffix)
+	}
+	if len(sites) > shownSites {
+		fmt.Fprintf(&sb, "  … %d more sites\n", len(sites)-shownSites)
 	}
 	if maxLines > 0 {
 		n := len(diffs)

@@ -138,6 +138,34 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// TestRenderCapsSites: a divergence spread over many allocation instances
+// (cholesky's free-list nodes) prints at most maxLines site lines, largest
+// first, then one line counting the rest.
+func TestRenderCapsSites(t *testing.T) {
+	var blocks []*mem.Block
+	wa, wb := map[uint64]uint64{}, map[uint64]uint64{}
+	for i := 0; i < 5; i++ {
+		base := uint64(0x1000 * (i + 1))
+		blocks = append(blocks, blk(base, 8, "node", i, mem.KindWord))
+		for off := 0; off <= i; off++ { // instance i differs in i+1 words
+			wa[base+uint64(off)*8], wb[base+uint64(off)*8] = 1, 2
+		}
+	}
+	out := Render(Diff(snap(blocks, wa), snap(blocks, wb), fpround.Policy{}), 2)
+	if got := strings.Count(out, "  site "); got != 2 {
+		t.Errorf("%d site lines, want 2:\n%s", got, out)
+	}
+	if !strings.Contains(out, "site node#4 ") || !strings.Contains(out, "site node#3 ") {
+		t.Errorf("the two largest sites are not the ones shown:\n%s", out)
+	}
+	if !strings.Contains(out, "  … 3 more sites\n") {
+		t.Errorf("missing site truncation line:\n%s", out)
+	}
+	if got := strings.Count(Render(Diff(snap(blocks, wa), snap(blocks, wb), fpround.Policy{}), 0), "  site "); got != 5 {
+		t.Errorf("maxLines 0 lists %d sites, want all 5", got)
+	}
+}
+
 // TestDiffUnderRounding checks float words compare under the rounding
 // policy the hash used: a float that moves only below the granularity is
 // not a difference, one that crosses it is, and an integer word with the
