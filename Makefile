@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-smoke smoke exploreeff build table1 table2 figures everything cover fmt vet lint
+.PHONY: all test race bench bench-smoke fuzz-smoke smoke exploreeff build table1 table2 figures everything cover fmt vet lint
 
 all: test lint
 
@@ -30,6 +30,20 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run='TestDetectionRunFastPaths' .
+
+# Five seconds of every fuzz target in the module: one `go test -fuzz` per
+# `func Fuzz...` in each package's _test.go files. -fuzzminimizetime 100x
+# bounds the minimization of each new interesting input: under the default
+# 60 s budget a short run can spend most of its time minimizing inputs
+# grown from a large seed (FuzzUnmarshalBundle's 17 KB canneal bundle) and
+# execute almost nothing. CI runs this target.
+fuzz-smoke:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for name in $$(cat $$dir/*_test.go 2>/dev/null | grep -o '^func Fuzz[A-Za-z0-9_]*' | cut -c6-); do \
+			echo "$$name ($${dir#$(CURDIR)/})"; \
+			$(GO) test "$$dir" -run NONE -fuzz "^$$name\$$" -fuzztime 5s -fuzzminimizetime 100x; \
+		done; \
+	done
 
 # Smoke gates over real checkd/checkworker processes, the three cmd/smoke
 # scenarios in one run that builds the binaries once (see its package

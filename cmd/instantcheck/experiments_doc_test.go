@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 )
 
 // TestExperimentsDocMatchesGolden keeps EXPERIMENTS.md from drifting: every
-// measured cell of its Table 1, Table 2 and Figure 6 tables must equal the
-// full-scale `instantcheck all -json` output pinned in
+// measured cell of its Table 1, Table 2 and Figure 6 tables, and every
+// distribution shape and count in its Figure 5 and Figure 8 bullets, must
+// equal the full-scale `instantcheck all -json` output pinned in
 // testdata/all.golden.json, which CI compares against a fresh run. Only the
 // right side of a "paper → measured" cell is read; the paper's numbers stay
 // hand-written.
@@ -41,11 +43,11 @@ func TestExperimentsDocMatchesGolden(t *testing.T) {
 			NDetPoints   int `json:"ndet_points"`
 			FirstNDetRun int `json:"first_ndet_run"`
 		}
-		fig5 json.RawMessage // not in the doc's tables
-		fig6 []instantcheck.Overhead
+		fig5, fig8 []instantcheck.Distribution
+		fig6       []instantcheck.Overhead
 	)
 	dec := json.NewDecoder(bytes.NewReader(golden))
-	for _, v := range []any{&table1, &table2, &fig5, &fig6} {
+	for _, v := range []any{&table1, &table2, &fig5, &fig6, &fig8} {
 		if err := dec.Decode(v); err != nil {
 			t.Fatalf("decoding all.golden.json: %v", err)
 		}
@@ -78,6 +80,69 @@ func TestExperimentsDocMatchesGolden(t *testing.T) {
 		want[f[0]] = f[2:]
 	}
 	checkDocTable(t, string(doc), "## Figure 6", want)
+
+	checkDocDistributions(t, string(doc), "## Figure 5", fig5)
+	checkDocDistributions(t, string(doc), "## Figure 8", fig8)
+}
+
+// docShape matches a distribution shape in backticks, with the count of
+// checkpoints written before it if there is one: "8 × `17/13`", or
+// "`16/4/2/1/…`" for a shape cut short.
+var docShape = regexp.MustCompile("(?:([0-9]+) × )?`([0-9]+(?:/[0-9]+)*(?:/…)?)`")
+
+// checkDocDistributions reads the bullets of the section after heading
+// that open with a bold label, and requires one bullet per distribution in
+// want, labelled with its App, and no other. Each backticked shape in a
+// bullet must name exactly one of that distribution's groups, spelling its
+// distribution in full or, when it ends in "/…", a prefix of it; a count
+// before the shape must equal that group's checkpoints.
+func checkDocDistributions(t *testing.T, doc, heading string, want []instantcheck.Distribution) {
+	t.Helper()
+	i := strings.Index(doc, "\n"+heading)
+	if i < 0 {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	section, _, _ := strings.Cut(doc[i+1:], "\n## ")
+	bullets := map[string]string{}
+	for _, b := range strings.Split(section, "\n* **")[1:] {
+		b, _, _ = strings.Cut(b, "\n\n")
+		label, text, _ := strings.Cut(b, "**")
+		bullets[label] = strings.Join(strings.Fields(text), " ")
+	}
+	groups := map[string][]instantcheck.DistGroup{}
+	for _, d := range want {
+		groups[d.App] = d.Groups
+		if _, ok := bullets[d.App]; !ok {
+			t.Errorf("EXPERIMENTS.md %s has no bullet for %q", heading[3:], d.App)
+		}
+	}
+	for label, text := range bullets {
+		gs, ok := groups[label]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md %s has a bullet %q that all.golden.json lacks", heading[3:], label)
+			continue
+		}
+		for _, m := range docShape.FindAllStringSubmatch(text, -1) {
+			count, shape := m[1], m[2]
+			prefix, cut := strings.CutSuffix(shape, "…")
+			var match []instantcheck.DistGroup
+			for _, g := range gs {
+				sizes := make([]string, len(g.Distribution))
+				for i, n := range g.Distribution {
+					sizes[i] = fmt.Sprint(n)
+				}
+				if s := strings.Join(sizes, "/"); s == shape || cut && strings.HasPrefix(s+"/", prefix) {
+					match = append(match, g)
+				}
+			}
+			switch {
+			case len(match) != 1:
+				t.Errorf("EXPERIMENTS.md %s, %s: `%s` names %d groups of all.golden.json, want 1", heading[3:], label, shape, len(match))
+			case count != "" && count != fmt.Sprint(match[0].Checkpoints):
+				t.Errorf("EXPERIMENTS.md %s, %s: %s × `%s`; all.golden.json has %d checkpoints of it", heading[3:], label, count, shape, match[0].Checkpoints)
+			}
+		}
+	}
 }
 
 // checkDocTable reads the first table after heading in doc, keys each row

@@ -1,8 +1,11 @@
 package farm
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"instantcheck/internal/ihash"
 )
@@ -124,6 +127,53 @@ func TestCompareHashMismatchBeatsTruncation(t *testing.T) {
 	if res.First.Ordinal != 1 || res.First.A == missingSide || res.First.B == missingSide {
 		t.Errorf("first divergence = %+v, want the ordinal-1 hash mismatch", res.First)
 	}
+}
+
+// TestCompareHugeRunIndex: the compare visits the runs the logs hold, not
+// every index up to the largest, so a log whose one line is run MaxInt
+// compares at once. A walk up to that index wraps and never ends.
+func TestCompareHugeRunIndex(t *testing.T) {
+	a, err := ParseHashLog(strings.NewReader("9223372036854775807 0 0000000000000001 \"end\"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan [2]*CompareResult, 1)
+	go func() { done <- [2]*CompareResult{CompareHashLogs(a, nil), CompareHashLogs(a, a)} }()
+	select {
+	case res := <-done:
+		if r := res[0]; r.Equal || !reflect.DeepEqual(r.OnlyA, []int{math.MaxInt}) || r.First == nil || r.First.Run != math.MaxInt {
+			t.Errorf("against an empty log: %+v", r)
+		}
+		if r := res[1]; !r.Equal || r.RunsCompared != 1 {
+			t.Errorf("against itself: %+v", r)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("comparing a log holding run 9223372036854775807 did not return within 1 s")
+	}
+}
+
+// FuzzCompareHashLogs: for any two texts that parse as hash logs, the
+// compare returns, its verdict is symmetric, and a log equals itself.
+func FuzzCompareHashLogs(f *testing.F) {
+	f.Add("9223372036854775807 0 0000000000000001 \"end\"\n", "")
+	f.Add("1000000000 0 0000000000000001 \"end\"\n", "0 0 0000000000000001 \"end\"\n")
+	f.Add("-5 0 0000000000000001 \"end\"\n", "")
+	f.Add("0 0 0000000000000001 \"b\"\n0 1 0000000000000002 \"end\"\n1 0 0000000000000001 \"b\"\n",
+		"0 0 0000000000000001 \"b\"\n1 0 0000000000000003 \"b\"\n")
+	f.Fuzz(func(t *testing.T, textA, textB string) {
+		a, errA := ParseHashLog(strings.NewReader(textA))
+		b, errB := ParseHashLog(strings.NewReader(textB))
+		if errA != nil || errB != nil {
+			return
+		}
+		ab, ba := CompareHashLogs(a, b), CompareHashLogs(b, a)
+		if ab.Equal != ba.Equal || ab.RunsA != ba.RunsB || ab.RunsCompared != ba.RunsCompared {
+			t.Fatalf("asymmetric compare: a-b %+v, b-a %+v", ab, ba)
+		}
+		if self := CompareHashLogs(a, a); !self.Equal {
+			t.Fatalf("a log differs from itself: %+v", self)
+		}
+	})
 }
 
 // TestPlanShards pins the lease unit: shards partition the run list in

@@ -27,6 +27,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -283,12 +284,12 @@ func ParseHashLog(r io.Reader) ([]HashLogLine, error) {
 			return nil, fmt.Errorf("farm: hash log line %d: want 4 fields, got %d", n, len(parts))
 		}
 		run, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("farm: hash log line %d: run: %v", n, err)
+		if err != nil || run < 0 {
+			return nil, fmt.Errorf("farm: hash log line %d: run %q: want a non-negative integer", n, parts[0])
 		}
 		ord, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("farm: hash log line %d: ordinal: %v", n, err)
+		if err != nil || ord < 0 {
+			return nil, fmt.Errorf("farm: hash log line %d: ordinal %q: want a non-negative integer", n, parts[1])
 		}
 		sh, err := strconv.ParseUint(parts[2], 16, 64)
 		if err != nil {
@@ -364,28 +365,25 @@ func CompareHashLogs(a, b []HashLogLine) *CompareResult {
 	}
 	ra, rb := byRun(a), byRun(b)
 	res := &CompareResult{Equal: true, RunsA: len(ra), RunsB: len(rb)}
-	maxRun := -1
+	runs := make([]int, 0, len(ra)+len(rb))
 	for run := range ra {
-		if run > maxRun {
-			maxRun = run
-		}
+		runs = append(runs, run)
 	}
 	for run := range rb {
-		if run > maxRun {
-			maxRun = run
+		if _, ok := ra[run]; !ok {
+			runs = append(runs, run)
 		}
 	}
+	slices.Sort(runs)
 	setFirst := func(d *Divergence) {
 		if res.First == nil {
 			res.First = d
 		}
 	}
-	for run := 0; run <= maxRun; run++ {
+	for _, run := range runs {
 		va, okA := ra[run]
 		vb, okB := rb[run]
 		switch {
-		case !okA && !okB:
-			continue
 		case !okA:
 			res.Equal = false
 			res.OnlyB = append(res.OnlyB, run)

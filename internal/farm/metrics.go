@@ -95,8 +95,6 @@ var runCounters = []runCounter{
 		func(r *sim.Result) uint64 { return r.Counters.FastLoadMisses + r.Counters.FastStoreMisses }},
 	{"instantcheck_traverse_runs_hashed_total", "Page-bounded runs hashed by the traversal scheme's checkpoint sweeps.", false,
 		func(r *sim.Result) uint64 { return r.Counters.TraverseRunsHashed }},
-	{"instantcheck_traverse_sharded_sweeps_total", "Checkpoint sweeps that fanned out across goroutine shards.", false,
-		func(r *sim.Result) uint64 { return r.Counters.TraverseShardedSweeps }},
 	{"instantcheck_traverse_full_sweeps_total", "Traversal checkpoints that rehashed every page holding live state: each run's first sweep.", false,
 		func(r *sim.Result) uint64 { return r.Counters.TraverseFullSweeps }},
 	{"instantcheck_traverse_delta_sweeps_total", "Traversal checkpoints served by dirty-page delta hashing.", false,

@@ -389,6 +389,36 @@ func TestRequestBodyBounds(t *testing.T) {
 	}
 }
 
+// TestCompareRejectsNegativeIndex: a hash log line with a negative run or
+// ordinal fails to parse with an error naming the line, and the compare
+// endpoint answers 400 with it. A log whose one line was run -5 used to
+// compare equal to an empty log.
+func TestCompareRejectsNegativeIndex(t *testing.T) {
+	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 1})
+	for _, log := range []string{
+		"0 0 0000000000000001 \"b\"\n-5 0 0000000000000001 \"end\"\n",
+		"0 0 0000000000000001 \"b\"\n0 -1 0000000000000001 \"end\"\n",
+	} {
+		if _, err := ParseHashLog(strings.NewReader(log)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q parsed with error %v, want one naming line 2", log, err)
+		}
+		body, err := json.Marshal(CompareRequest{LogA: log, LogB: "0 0 0000000000000001 \"end\"\n"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(c.BaseURL+"/api/v1/compare", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "line 2") {
+			t.Errorf("compare of %q: %s %q (%v), want 400 naming line 2", log, resp.Status, e.Error, err)
+		}
+	}
+}
+
 // TestResumeStoreBufferWordsStore resumes a store written by a daemon
 // whose JobSpec still had the store_buffer_words and parallelism fields:
 // its job line carries "store_buffer_words":-1 (inline per-store hashing),

@@ -52,44 +52,34 @@ func (p *travState) Setup(t *Thread) {
 func (p *travState) Worker(t *Thread) {}
 
 // BenchmarkTraverseHash isolates the per-checkpoint sweep cost on the
-// travState state. The sequential and parallel variants hash the runs the
-// run's seeding full sweep gathered, at one and four shards (calling
-// hashRuns directly: repeated checkpoints of an unchanged state would be
-// near-free delta sweeps). The delta variant dirties one of every 16 pages
-// before each checkpoint and measures the O(dirty) resweep; it also
-// asserts the delta path was actually taken, so the CI bench-smoke pass
-// (one iteration of every benchmark) fails if delta mode silently
-// regresses to full sweeps.
+// travState state. After the run's end checkpoint has seeded the page
+// cache, each iteration dirties pages with one store each and takes a
+// sweep: the full variant dirties every page (the cost of a full sweep),
+// the delta variant one of every 16 (the O(dirty) resweep). Both assert
+// that the delta path was actually taken, so the CI bench-smoke pass (one
+// iteration of every benchmark) fails if delta mode silently regresses to
+// full sweeps.
 func BenchmarkTraverseHash(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string
-		shards int // 0 selects the delta variant
+		stride int // pages between dirtied pages
 	}{
-		{"sequential", 1},
-		{"parallel", 4},
-		{"delta", 0},
+		{"full", 1},
+		{"delta", 16},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			m := NewMachine(Config{Threads: 1, ScheduleSeed: 1, Scheme: SWTr})
 			prog := &travState{}
-			// The end checkpoint's full sweep seeds the page cache and
-			// leaves every live run gathered in m.travRuns.
 			if _, err := m.Run(prog); err != nil {
 				b.Fatal(err)
 			}
 			var dirtyAddrs []uint64
-			if cfg.shards == 0 {
-				for pn := 0; pn < travStatePages; pn += 16 {
-					dirtyAddrs = append(dirtyAddrs, prog.base+uint64(pn)*pageBytes)
-				}
+			for pn := 0; pn < travStatePages; pn += cfg.stride {
+				dirtyAddrs = append(dirtyAddrs, prog.base+uint64(pn*mem.PageWords*mem.WordSize))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if cfg.shards > 0 {
-					m.hashRuns(m.travRuns, cfg.shards)
-					continue
-				}
 				b.StopTimer()
 				for _, a := range dirtyAddrs {
 					m.Mem.Store(a, uint64(i)|1)
@@ -98,8 +88,8 @@ func BenchmarkTraverseHash(b *testing.B) {
 				_ = m.traverseHash()
 			}
 			b.StopTimer()
-			if cfg.shards == 0 && m.counters.TraverseDeltaSweeps == 0 {
-				b.Fatal("delta variant never took the delta path")
+			if m.counters.TraverseDeltaSweeps == 0 {
+				b.Fatal("the sweep never took the delta path")
 			}
 		})
 	}

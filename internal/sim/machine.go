@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"instantcheck/internal/fpround"
 	"instantcheck/internal/ihash"
@@ -45,15 +43,12 @@ type Machine struct {
 	roundFP  bool
 
 	// zeroSums caches Σ h(a,0) per page-bounded run for the traversal
-	// scheme; travRuns is the reusable run-gathering scratch buffer.
+	// scheme.
 	zeroSums *ihash.ZeroSumCache
-	travRuns []travRun
 
 	// pageSums caches per-page State-Hash contributions for dirty-page
-	// delta checkpoints; nil until the run's first sweep. deltaPages is
-	// the per-sweep scratch list of dirty page numbers.
-	pageSums   *ihash.PageSumCache
-	deltaPages []uint64
+	// delta checkpoints; nil until the run's first sweep.
+	pageSums *ihash.PageSumCache
 
 	checkpoints []Checkpoint
 	counters    Counters
@@ -87,7 +82,6 @@ func NewMachine(cfg Config) *Machine {
 		rounding: cfg.Rounding,
 		roundFP:  cfg.RoundFP,
 	}
-	m.counters.PerThread = make([]uint64, cfg.Threads)
 	if cfg.Scheme.Incremental() {
 		m.units = make([]*mhm.Unit, cfg.Threads)
 		for i := range m.units {
@@ -158,7 +152,6 @@ func (m *Machine) Run(p Program) (*Result, error) {
 	// are the program's fixed input state.
 	init := m.newThread(-1, sched.Inert(), m.initUnit)
 	p.Setup(init)
-	m.counters.SetupInstr = init.instr
 	m.counters.Instr += init.instr
 
 	if m.cfg.Decider != nil {
@@ -188,8 +181,7 @@ func (m *Machine) Run(p Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, t := range threads {
-		m.counters.PerThread[i] = t.instr
+	for _, t := range threads {
 		m.counters.Instr += t.instr
 	}
 	if err := m.capture("end"); err != nil {
@@ -198,9 +190,8 @@ func (m *Machine) Run(p Program) (*Result, error) {
 	m.counters.FastLoadMisses, m.counters.FastStoreMisses = m.Mem.FastPathStats()
 	m.counters.SchedOps = m.sch.Ops()
 	res := &Result{
-		Checkpoints:    m.checkpoints,
-		Counters:       m.counters,
-		FinalLiveWords: m.Mem.LiveWords(),
+		Checkpoints: m.checkpoints,
+		Counters:    m.counters,
 	}
 	if len(m.outputs) > 0 {
 		res.Outputs = make(map[int]OutputStream, len(m.outputs))
@@ -304,27 +295,6 @@ func (m *Machine) capture(label string) error {
 	return nil
 }
 
-// travRun is one page-bounded run of live words queued for hashing, with
-// its precomputed Σ h(a, 0) already attached so shard workers never touch
-// the (non-thread-safe) zero-sum cache. hashRuns fills sum with the run's
-// contribution Σ h(a,v) ⊖ Σ h(a,0).
-type travRun struct {
-	base  uint64
-	words []uint64
-	kind  mem.Kind
-	zero  ihash.Digest
-	sum   ihash.Digest
-}
-
-// parallelTraverseWords is the live-state size (in words) above which the
-// checkpoint sweep is sharded. Below it the fan-out overhead (goroutine
-// wake-ups plus a barrier) outweighs the hashing itself.
-const parallelTraverseWords = 1 << 15
-
-// pageBytes is the memory engine's page extent; runs never cross it, so
-// base/pageBytes identifies the page a run contributes to.
-const pageBytes = mem.PageWords * mem.WordSize
-
 // traverseHash computes the state hash by sweeping the static segment and
 // the live-allocation table, as SW-InstantCheck_Tr does (§4.2). Each live
 // word contributes h(a, v) ⊖ h(a, 0): its delta from the fixed zero-filled
@@ -342,112 +312,73 @@ const pageBytes = mem.PageWords * mem.WordSize
 // the hash. All-zero runs, never-materialized backing included, cancel
 // (Σ h(a,0) ⊖ Σ h(a,0) = 0) and are skipped; for the rest the Σ h(a,0)
 // term comes from a per-run memo instead of a per-word hash.
+//
+// The sweep streams: dirty pages arrive in ascending order, each followed
+// by its runs, so a page's new contribution is complete when the next
+// page starts or the sweep ends. It runs on the run's own goroutine; a
+// campaign's parallelism is across runs.
 func (m *Machine) traverseHash() ihash.Digest {
 	first := m.pageSums == nil
 	if first {
 		m.zeroSums = ihash.NewZeroSumCache(m.hasher)
 		m.pageSums = ihash.NewPageSumCache()
 	}
-	pages := m.deltaPages[:0]
-	runs := m.travRuns[:0]
-	total := 0
+	var (
+		pages   uint64
+		page    uint64
+		pageSum ihash.Digest
+	)
 	m.Mem.TraverseDirtyRuns(
-		func(pn uint64) { pages = append(pages, pn) },
+		func(pn uint64) {
+			if pages > 0 {
+				m.pageSums.Replace(page, pageSum)
+			}
+			pages++
+			page, pageSum = pn, ihash.Zero
+		},
 		func(base uint64, words []uint64, kind mem.Kind) {
 			if mem.IsZeroRun(words) {
 				return // contributes 0 to its page sum either way
 			}
-			runs = append(runs, travRun{base: base, words: words, kind: kind, zero: m.zeroSums.Sum(base, len(words))})
-			total += len(words)
+			pageSum = pageSum.Combine(m.hashRun(base, words, kind))
+			m.counters.TraverseRunsHashed++
 		})
-	m.deltaPages = pages
-	m.travRuns = runs
-	m.counters.TraverseRunsHashed += uint64(len(runs))
+	if pages > 0 {
+		m.pageSums.Replace(page, pageSum)
+	}
+	m.Mem.ClearDirty()
 	if first {
 		m.counters.TraverseFullSweeps++
 	} else {
 		m.counters.TraverseDeltaSweeps++
-		m.counters.TraverseDirtyPages += uint64(len(pages))
-	}
-	m.hashRuns(runs, traverseShards(total))
-	// Pages and runs both arrive in ascending address order, so one linear
-	// merge folds each page's run sums into its new contribution.
-	ri := 0
-	for _, pn := range pages {
-		var sum ihash.Digest
-		for ri < len(runs) && runs[ri].base/pageBytes == pn {
-			sum = sum.Combine(runs[ri].sum)
-			ri++
-		}
-		m.pageSums.Replace(pn, sum)
-	}
-	m.Mem.ClearDirty()
-	if !first {
+		m.counters.TraverseDirtyPages += pages
 		m.counters.TraverseLivePages += uint64(m.pageSums.Len())
 	}
 	return m.pageSums.Total()
 }
 
-// traverseShards picks a sweep's goroutine count from the volume it
-// gathered: one below parallelTraverseWords, GOMAXPROCS above it.
-func traverseShards(totalWords int) int {
-	if totalWords < parallelTraverseWords {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// hashRuns fills every run's sum, sequentially or across shards
-// goroutines. Each shard writes only its own runs' sum fields, so the
-// result is identical to the sequential fill regardless of shard count.
-func (m *Machine) hashRuns(runs []travRun, shards int) {
-	if shards <= 1 || len(runs) < 2 {
-		for i := range runs {
-			runs[i].sum = m.hashRun(&runs[i])
-		}
-		return
-	}
-	if shards > len(runs) {
-		shards = len(runs)
-	}
-	m.counters.TraverseShardedSweeps++
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := s; i < len(runs); i += shards {
-				runs[i].sum = m.hashRun(&runs[i])
-			}
-		}(s)
-	}
-	wg.Wait()
-}
-
-// hashRun returns Σ h(a, v) ⊖ Σ h(a, 0) for one run. It reads only
-// immutable machine state (hasher, rounding policy) and the quiescent
-// memory the run aliases, so shard workers may call it concurrently.
-func (m *Machine) hashRun(r *travRun) ihash.Digest {
+// hashRun returns Σ h(a, v) ⊖ Σ h(a, 0) for one page-bounded run.
+func (m *Machine) hashRun(base uint64, words []uint64, kind mem.Kind) ihash.Digest {
 	h := m.hasher
 	var d ihash.Digest
-	if r.kind == mem.KindFloat && m.roundFP {
+	if kind == mem.KindFloat && m.roundFP {
 		rd := m.rounding
 		if _, ok := h.(ihash.Mix64); ok {
 			// Devirtualized: with the default hasher the per-word hash
 			// inlines, leaving the round-off unit as the loop's only call.
 			var mh ihash.Mix64
-			for i, v := range r.words {
-				d = d.Combine(mh.HashWord(r.base+uint64(i)*mem.WordSize, rd.RoundBits(v)))
+			for i, v := range words {
+				d = d.Combine(mh.HashWord(base+uint64(i)*mem.WordSize, rd.RoundBits(v)))
 			}
 		} else {
-			for i, v := range r.words {
-				d = d.Combine(h.HashWord(r.base+uint64(i)*mem.WordSize, rd.RoundBits(v)))
+			for i, v := range words {
+				d = d.Combine(h.HashWord(base+uint64(i)*mem.WordSize, rd.RoundBits(v)))
 			}
 		}
 	} else {
-		d = ihash.BatchInsert(h, r.base, r.words)
+		d = ihash.BatchInsert(h, base, words)
 	}
-	return d.Subtract(r.zero)
+	return d.Subtract(m.zeroSums.Sum(base, len(words)))
 }
 
 // SetFPRounding flips the FP round-off unit for every thread mid-run,

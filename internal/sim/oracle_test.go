@@ -3,14 +3,13 @@ package sim_test
 // The differential oracle. Every InstantCheck scheme computes the same
 // quantity, the State Hash SH = Σ h(a,v) ⊖ h(a,0) over the live state
 // (§2). HWInc and SWInc accumulate it store by store through the
-// per-thread store buffer; SWTr sweeps it at each checkpoint, sharded when
-// the state is large and over dirty pages only after the first sweep. The
-// oracle checks every one of those fast paths against naiveSH, which
+// per-thread store buffer; SWTr sweeps it at each checkpoint, over dirty
+// pages only after the first sweep. The oracle checks every one of those
+// fast paths against naiveSH, which
 // recomputes SH word by word from a snapshot of the checkpointed state.
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"instantcheck/internal/apps"
@@ -24,7 +23,7 @@ import (
 // naiveSH recomputes a checkpoint's raw and ignore-adjusted State Hash
 // from its snapshot, straight from the definition: each live word
 // contributes h(a, round(v)) ⊖ h(a, 0), and the adjusted hash skips the
-// ignored words. No cache, no buffer, no shards.
+// ignored words. No cache, no buffer.
 func naiveSH(s *mem.Snapshot, roundFP bool, ignore *sim.IgnoreSet) (raw, adj ihash.Digest) {
 	var h ihash.Hasher = ihash.Mix64{}
 	for i, a := range s.Addrs {
@@ -110,43 +109,33 @@ var oracleSchemes = []struct {
 // TestStateHashOracle checks the three schemes against naiveSH at every
 // checkpoint of three runs of all 17 apps and the three seeded Figure 7
 // bugs (small inputs, 4 threads), with each app's FP rounding and ignore
-// set. One run of lu at full inputs is large enough to shard its
-// traversal sweeps. The test also requires that every fast path ran:
-// store-buffer drains on each incremental run, a delta sweep at every
-// traversal checkpoint after the first, and sharded sweeps somewhere.
+// set. The test also requires that every fast path ran: store-buffer
+// drains on each incremental run and a delta sweep at every traversal
+// checkpoint after the first.
 func TestStateHashOracle(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
 	type oracleCase struct {
 		name string
 		app  *apps.App
 		opts apps.Options
-		runs int
 	}
 	var cases []oracleCase
 	for _, app := range apps.Registry() {
-		cases = append(cases, oracleCase{app.Name, app, apps.Options{Threads: 4, Small: true}, 3})
+		cases = append(cases, oracleCase{app.Name, app, apps.Options{Threads: 4, Small: true}})
 	}
 	for _, app := range apps.Registry() {
 		if app.HostsBug != apps.BugNone {
-			cases = append(cases, oracleCase{app.Name + "+bug", app, apps.Options{Threads: 4, Small: true, Bug: app.HostsBug}, 3})
+			cases = append(cases, oracleCase{app.Name + "+bug", app, apps.Options{Threads: 4, Small: true, Bug: app.HostsBug}})
 		}
 	}
-	// lu is bit-by-bit deterministic, so one full-input run covers it.
-	cases = append(cases, oracleCase{"lu-full", apps.ByName("lu"), apps.Options{Threads: 4}, 1})
 
-	var sharded, delta, flushes uint64
+	var delta, flushes uint64
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, s := range oracleSchemes {
-				if c.name == "lu-full" && s.scheme != sim.SWTr {
-					continue // only the traversal sweep shards
-				}
 				t.Run(s.name, func(t *testing.T) {
 					env := replay.NewEnv(7)
 					log := replay.NewAddrLog()
-					for run := 0; run < c.runs; run++ {
+					for run := 0; run < 3; run++ {
 						res := checkRun(t, sim.Config{
 							Threads:      c.opts.Threads,
 							ScheduleSeed: int64(100 + run),
@@ -164,7 +153,6 @@ func TestStateHashOracle(t *testing.T) {
 						} else if ctr.StoreBufferFlushes == 0 {
 							t.Errorf("run %d: the store buffer never drained", run)
 						}
-						sharded += ctr.TraverseShardedSweeps
 						delta += ctr.TraverseDeltaSweeps
 						flushes += ctr.StoreBufferFlushes
 					}
@@ -172,9 +160,8 @@ func TestStateHashOracle(t *testing.T) {
 			}
 		})
 	}
-	if sharded == 0 || delta == 0 || flushes == 0 {
-		t.Errorf("fast paths not all exercised: %d sharded sweeps, %d delta sweeps, %d buffer flushes",
-			sharded, delta, flushes)
+	if delta == 0 || flushes == 0 {
+		t.Errorf("fast paths not all exercised: %d delta sweeps, %d buffer flushes", delta, flushes)
 	}
 }
 

@@ -203,14 +203,8 @@ type Checkpoint struct {
 type Counters struct {
 	// Instr is the native instruction count (all threads plus setup).
 	Instr uint64
-	// PerThread is the native instruction count per worker thread.
-	PerThread []uint64
-	// SetupInstr is the native instruction count of the setup phase.
-	SetupInstr uint64
 	// Stores counts data stores (not including checker-induced zeroing).
 	Stores uint64
-	// FPStores counts the subset of Stores that were FP stores.
-	FPStores uint64
 	// Loads counts data loads.
 	Loads uint64
 	// AllocZeroWords is the number of words zero-filled at allocation —
@@ -233,10 +227,6 @@ type Counters struct {
 	SchedOps uint64
 	// OutputBytes is the total bytes written to the output stream.
 	OutputBytes uint64
-	// Allocs and Frees count dynamic allocation events.
-	Allocs uint64
-	// Frees counts dynamic free events.
-	Frees uint64
 
 	// The remaining fields are observability counters for the checkfarm's
 	// metrics layer, not part of the Figure 6 cost model. They are filled
@@ -255,9 +245,9 @@ type Counters struct {
 	// actually hashed across all checkpoints (zero runs that cancel via
 	// Σh(a,0) are excluded).
 	TraverseRunsHashed uint64
-	// TraverseShardedSweeps counts checkpoint sweeps that fanned out across
-	// goroutine shards; sequential sweeps are Checkpoints minus this (for
-	// the traversal scheme).
+	// TraverseShardedSweeps is always zero: a checkpoint sweep runs on the
+	// run's own goroutine. The field stays only because the benchmark
+	// harness still reads it.
 	TraverseShardedSweeps uint64
 	// TraverseFullSweeps and TraverseDeltaSweeps split the traversal
 	// scheme's checkpoints: a run's first sweep starts from an empty
@@ -322,8 +312,6 @@ type Result struct {
 	// MHMStats aggregates the MHM activity of all units (incremental
 	// schemes only).
 	MHMStats mhm.Stats
-	// FinalLiveWords is the hashed-state size at program end.
-	FinalLiveWords int
 }
 
 // FinalSH returns the State Hash at program end.

@@ -256,8 +256,8 @@ func TestFreeErasesState(t *testing.T) {
 			if sh := res.FinalSH(); sh != ihash.Zero {
 				t.Errorf("SH = %s, want zero after everything was freed", sh)
 			}
-			if res.FinalLiveWords != 0 {
-				t.Errorf("live words = %d", res.FinalLiveWords)
+			if n := res.Checkpoints[len(res.Checkpoints)-1].LiveWords; n != 0 {
+				t.Errorf("live words = %d", n)
 			}
 			if res.Counters.FreeEraseWords != 12 {
 				t.Errorf("FreeEraseWords = %d", res.Counters.FreeEraseWords)

@@ -257,9 +257,6 @@ func (t *Thread) StoreF(addr uint64, value float64) {
 func (t *Thread) store(addr, value uint64, isFP bool) {
 	t.charge(CostStore)
 	t.ctr.Stores++
-	if isFP {
-		t.ctr.FPStores++
-	}
 	t.checkKind(addr, isFP)
 	if ev := t.ev; ev != nil {
 		t.ctr.EventWrites++
@@ -308,7 +305,6 @@ func (t *Thread) checkKind(addr uint64, isFP bool) {
 // fixed input (§5).
 func (t *Thread) Malloc(site string, words int, kind mem.Kind) uint64 {
 	t.charge(CostMalloc)
-	t.ctr.Allocs++
 	t.yield()
 	b := t.mm.Alloc(site, words, kind)
 	if t.m.cfg.AddrLog != nil {
@@ -336,7 +332,6 @@ func (t *Thread) AllocStatic(site string, words int, kind mem.Kind) uint64 {
 // "no longer part of the program state" (§7.2, pbzip2 discussion).
 func (t *Thread) Free(base uint64) {
 	t.charge(CostFree)
-	t.ctr.Frees++
 	t.yield()
 	blk := t.mm.BlockAt(base)
 	if blk == nil || blk.Base != base {
