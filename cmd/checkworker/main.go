@@ -1,9 +1,9 @@
 // Command checkworker is a checkfleet worker node. It pulls run-shard
 // leases from a fleet-mode checkd (see cmd/checkd -fleet), fetches each
 // campaign's recorded replay bundle from the coordinator's content-addressed
-// store (caching it on disk by digest), replays the leased runs, and streams
-// the resulting State-Hash records back in batches of four, with at most
-// two batches unacknowledged before replay blocks.
+// store (caching it on disk by digest), replays the leased runs, and posts
+// the resulting State-Hash records back every four runs; a batch the
+// coordinator answers with the lease gone ends the shard at once.
 //
 // Usage:
 //

@@ -42,12 +42,12 @@ const (
 // that flag exactly once too early (in the last pass, before computing the
 // rank bases instead of after): a thread released by the premature flag
 // can read rank bases that thread 0 has not finished writing and scatter
-// keys to stale positions. Thread 0 usually storms through the short rank
-// phase before anyone reads, so the bug manifests only when a preemption
-// lands inside it — rarely under stress testing, like the real order
-// violations InstantCheck targets. The program never crashes — positions
-// stay in bounds — but a manifesting run's final array is wrong in a
-// schedule-dependent way.
+// keys to stale positions. Every schedule exposes it, unlike the rare
+// real order violations the paper targets: after the early flag, thread 0
+// makes about 1,000 memory operations (a store and a load for each of the
+// 64 × 8 rank bases at 8 threads) against a mean preemption interval of
+// about 8 (EXPERIMENTS.md, "Reproduction limitations"). The program never
+// crashes, but each run's final array is wrong in a schedule-dependent way.
 type radixProg struct {
 	nt  int
 	n   int

@@ -40,9 +40,10 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// do performs one API call, decoding a JSON response into out (unless out
-// is nil) and mapping error payloads to Go errors.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// Do performs one API call: in (unless nil) goes as a JSON body of declared
+// length, a JSON response decodes into out (unless nil), and error payloads
+// map to Go errors.
+func (c *Client) Do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -78,8 +79,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// text performs one GET returning the raw response body.
-func (c *Client) text(ctx context.Context, path string) (string, error) {
+// Text performs one GET returning the raw response body.
+func (c *Client) Text(ctx context.Context, path string) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return "", err
@@ -102,7 +103,7 @@ func (c *Client) text(ctx context.Context, path string) (string, error) {
 // Submit enqueues a campaign and returns the accepted job.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	var job Job
-	if err := c.do(ctx, http.MethodPost, "/api/v1/jobs", spec, &job); err != nil {
+	if err := c.Do(ctx, http.MethodPost, "/api/v1/jobs", spec, &job); err != nil {
 		return nil, err
 	}
 	return &job, nil
@@ -111,7 +112,7 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id JobID) (*Job, error) {
 	var job Job
-	if err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+string(id), nil, &job); err != nil {
+	if err := c.Do(ctx, http.MethodGet, "/api/v1/jobs/"+string(id), nil, &job); err != nil {
 		return nil, err
 	}
 	return &job, nil
@@ -122,7 +123,7 @@ func (c *Client) Jobs(ctx context.Context) ([]*Job, error) {
 	var out struct {
 		Jobs []*Job `json:"jobs"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/api/v1/jobs", nil, &out); err != nil {
+	if err := c.Do(ctx, http.MethodGet, "/api/v1/jobs", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Jobs, nil
@@ -131,7 +132,7 @@ func (c *Client) Jobs(ctx context.Context) ([]*Job, error) {
 // Report fetches a finished job's report.
 func (c *Client) Report(ctx context.Context, id JobID) (*Report, error) {
 	var rep Report
-	if err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+string(id)+"/report", nil, &rep); err != nil {
+	if err := c.Do(ctx, http.MethodGet, "/api/v1/jobs/"+string(id)+"/report", nil, &rep); err != nil {
 		return nil, err
 	}
 	return &rep, nil
@@ -140,14 +141,14 @@ func (c *Client) Report(ctx context.Context, id JobID) (*Report, error) {
 // HashLog fetches a job's per-checkpoint hash stream in the canonical
 // text form — the unit of cross-host comparison.
 func (c *Client) HashLog(ctx context.Context, id JobID) (string, error) {
-	return c.text(ctx, "/api/v1/jobs/"+string(id)+"/hashlog")
+	return c.Text(ctx, "/api/v1/jobs/"+string(id)+"/hashlog")
 }
 
 // Compare diffs two hash logs (jobs on the daemon, or inline logs fetched
 // from elsewhere).
 func (c *Client) Compare(ctx context.Context, req CompareRequest) (*CompareResult, error) {
 	var res CompareResult
-	if err := c.do(ctx, http.MethodPost, "/api/v1/compare", req, &res); err != nil {
+	if err := c.Do(ctx, http.MethodPost, "/api/v1/compare", req, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -156,7 +157,7 @@ func (c *Client) Compare(ctx context.Context, req CompareRequest) (*CompareResul
 // Health fetches the daemon's /healthz liveness summary.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	var h Health
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
+	if err := c.Do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
 		return nil, err
 	}
 	return &h, nil
@@ -165,7 +166,7 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 // MetricsText fetches the daemon's /metrics endpoint: the raw Prometheus
 // text exposition (parse with obs.ParseExposition if needed).
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	return c.text(ctx, "/metrics")
+	return c.Text(ctx, "/metrics")
 }
 
 // Cancel cancels a queued or running job; it reports whether the daemon
@@ -174,7 +175,7 @@ func (c *Client) Cancel(ctx context.Context, id JobID) (bool, error) {
 	var out struct {
 		Canceled bool `json:"canceled"`
 	}
-	if err := c.do(ctx, http.MethodDelete, "/api/v1/jobs/"+string(id), nil, &out); err != nil {
+	if err := c.Do(ctx, http.MethodDelete, "/api/v1/jobs/"+string(id), nil, &out); err != nil {
 		return false, err
 	}
 	return out.Canceled, nil

@@ -121,7 +121,7 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 	}
 	m.observeRun(camp.Scheme, first, time.Since(recordStart))
 	if results[0] != nil {
-		if err := prior.Run(0).diff(NewRunRecord(0, first)); err != nil {
+		if err := prior.Run(0).Diff(NewRunRecord(0, first)); err != nil {
 			return nil, nil, fmt.Errorf("farm: stored hash log disagrees with re-recorded run 1: %w", err)
 		}
 	} else {

@@ -477,26 +477,38 @@ const (
 	maxCompareBody = 128 << 20
 )
 
+// errLengthRequired is DecodeBody's error for a body sent without a
+// Content-Length.
+var errLengthRequired = errors.New("request body has no declared length")
+
 // DecodeBody decodes a JSON request body of at most limit bytes into v and
-// returns its length. A body that declares a longer Content-Length fails
-// before any of it is read, and one sent without a length fails at the
-// first byte past limit.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
-	if r.ContentLength > limit {
+// returns its length. The body must declare its length: one sent without a
+// Content-Length (chunked), or declaring more than limit, fails before any
+// of it is read. A declared body is read into a buffer of exactly its
+// length.
+func DecodeBody(r *http.Request, limit int64, v any) (int, error) {
+	switch {
+	case r.ContentLength < 0:
+		return 0, errLengthRequired
+	case r.ContentLength > limit:
 		return 0, &http.MaxBytesError{Limit: limit}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
+	body := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
 		return 0, err
 	}
 	return len(body), json.Unmarshal(body, v)
 }
 
-// BodyStatus is the HTTP status for a DecodeBody error: 413 for a body over
-// its bound, 400 for any other failure.
+// BodyStatus is the HTTP status for a DecodeBody error: 411 for a body
+// without a declared length, 413 for one over its bound, 400 for any other
+// failure.
 func BodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case errors.Is(err, errLengthRequired):
+		return http.StatusLengthRequired
+	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
@@ -516,42 +528,42 @@ func BodyStatus(err error) int {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Health())
+		WriteJSON(w, http.StatusOK, s.Health())
 	})
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if _, err := DecodeBody(w, r, maxSpecBody, &spec); err != nil {
-			httpError(w, BodyStatus(err), fmt.Errorf("bad job spec: %w", err))
+		if _, err := DecodeBody(r, maxSpecBody, &spec); err != nil {
+			HTTPError(w, BodyStatus(err), fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		job, err := s.Submit(spec)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, job)
+		WriteJSON(w, http.StatusAccepted, job)
 	})
 	mux.HandleFunc("GET /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Jobs []*Job `json:"jobs"`
 		}{s.Jobs()})
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job := s.Job(JobID(r.PathValue("id")))
 		if job == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %s", r.PathValue("id")))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %s", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, job)
+		WriteJSON(w, http.StatusOK, job)
 	})
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := JobID(r.PathValue("id"))
 		if s.Job(id) == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %s", id))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %s", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Canceled bool `json:"canceled"`
 		}{s.Cancel(id)})
 	})
@@ -563,16 +575,16 @@ func (s *Server) Handler() http.Handler {
 			if s.Job(id) != nil {
 				code = http.StatusConflict // exists but not finished
 			}
-			httpError(w, code, err)
+			HTTPError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, rep)
+		WriteJSON(w, http.StatusOK, rep)
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/hashlog", func(w http.ResponseWriter, r *http.Request) {
 		id := JobID(r.PathValue("id"))
 		jl := s.store.Job(id)
 		if jl == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %s", id))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %s", id))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -580,21 +592,21 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/compare", func(w http.ResponseWriter, r *http.Request) {
 		var req CompareRequest
-		if _, err := DecodeBody(w, r, maxCompareBody, &req); err != nil {
-			httpError(w, BodyStatus(err), fmt.Errorf("bad compare request: %w", err))
+		if _, err := DecodeBody(r, maxCompareBody, &req); err != nil {
+			HTTPError(w, BodyStatus(err), fmt.Errorf("bad compare request: %w", err))
 			return
 		}
 		a, err := s.compareSide(req.JobA, req.LogA, "a")
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		b, err := s.compareSide(req.JobB, req.LogB, "b")
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, CompareHashLogs(a, b))
+		WriteJSON(w, http.StatusOK, CompareHashLogs(a, b))
 	})
 	return mux
 }
@@ -621,7 +633,8 @@ func (s *Server) compareSide(job JobID, log, side string) ([]HashLogLine, error)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as indented JSON under the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -629,8 +642,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, struct {
+// HTTPError answers with {"error": err} under the given status code, the
+// payload Client.Do maps back to a Go error.
+func HTTPError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, struct {
 		Error string `json:"error"`
 	}{err.Error()})
 }

@@ -330,18 +330,15 @@ func (blanks) Read(p []byte) (int, error) {
 }
 
 // postOverBound posts a JSON object one byte longer than limit, declaring
-// its length or, when chunked, sending it without one, and returns the
-// response status.
-func postOverBound(t *testing.T, url string, limit int64, chunked bool) int {
+// its length, and returns the response status.
+func postOverBound(t *testing.T, url string, limit int64) int {
 	t.Helper()
 	body := io.MultiReader(strings.NewReader("{"), io.LimitReader(blanks{}, limit-1), strings.NewReader("}"))
 	req, err := http.NewRequest(http.MethodPost, url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !chunked {
-		req.ContentLength = limit + 1
-	}
+	req.ContentLength = limit + 1
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
@@ -350,12 +347,23 @@ func postOverBound(t *testing.T, url string, limit int64, chunked bool) int {
 	return resp.StatusCode
 }
 
+// countingBody is a request body that counts the bytes read from it.
+type countingBody struct {
+	r io.Reader
+	n int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n += n
+	return n, err
+}
+
 // TestRequestBodyBounds: a body one byte over an endpoint's bound gets 413,
-// and the daemon then serves a normal request on the same endpoint. A body
-// without a declared length is read up to the bound, so only the small
-// bound is tested that way.
+// and a body without a declared length (chunked) gets 411 with none of it
+// read; the daemon then serves a normal request on the same endpoint.
 func TestRequestBodyBounds(t *testing.T) {
-	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 1})
+	srv, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 1})
 	var log strings.Builder
 	if err := WriteHashLog(&log, mkLog(2, 3)); err != nil {
 		t.Fatal(err)
@@ -365,18 +373,24 @@ func TestRequestBodyBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		path    string
-		limit   int64
-		chunked bool
-		normal  string
-		status  int
+		path   string
+		limit  int64
+		normal string
+		status int
 	}{
-		{"/api/v1/jobs", maxSpecBody, false, `{"app":"fft","runs":2,"threads":2,"small":true}`, http.StatusAccepted},
-		{"/api/v1/jobs", maxSpecBody, true, `{"app":"fft","runs":2,"threads":2,"small":true}`, http.StatusAccepted},
-		{"/api/v1/compare", maxCompareBody, false, string(compare), http.StatusOK},
+		{"/api/v1/jobs", maxSpecBody, `{"app":"fft","runs":2,"threads":2,"small":true}`, http.StatusAccepted},
+		{"/api/v1/compare", maxCompareBody, string(compare), http.StatusOK},
 	} {
-		if got := postOverBound(t, c.BaseURL+tc.path, tc.limit, tc.chunked); got != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s (chunked %v): a body one byte over the bound got %d, want 413", tc.path, tc.chunked, got)
+		if got := postOverBound(t, c.BaseURL+tc.path, tc.limit); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: a body one byte over the bound got %d, want 413", tc.path, got)
+		}
+		// httptest.NewRequest declares no length for a reader of unknown size.
+		body := &countingBody{r: strings.NewReader(tc.normal)}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, body))
+		if rec.Code != http.StatusLengthRequired || body.n != 0 {
+			t.Errorf("%s: a body without a declared length got %d after %d bytes read, want 411 after none",
+				tc.path, rec.Code, body.n)
 		}
 		resp, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.normal))
 		if err != nil {

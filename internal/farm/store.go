@@ -100,11 +100,11 @@ func (r RunRecord) Result() *sim.Result {
 	return res
 }
 
-// diff reports the first difference between two records of the same run,
+// Diff reports the first difference between two records of the same run,
 // or nil when every checkpoint and output stream agrees. Runs are
 // deterministic, so a difference means the two came from different
 // binaries, inputs or seeds.
-func (r RunRecord) diff(o RunRecord) error {
+func (r RunRecord) Diff(o RunRecord) error {
 	if len(r.Checkpoints) != len(o.Checkpoints) {
 		return fmt.Errorf("%d checkpoints against %d", len(r.Checkpoints), len(o.Checkpoints))
 	}
@@ -453,7 +453,7 @@ func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 	}
 	rec := NewRunRecord(run, res)
 	if prev := jl.runs[run]; prev != nil {
-		if err := prev.diff(rec); err != nil {
+		if err := prev.Diff(rec); err != nil {
 			return fmt.Errorf("farm: job %s run %d: duplicate append disagrees with committed record: %w", id, run, err)
 		}
 		return nil

@@ -29,9 +29,9 @@ func flakyJobServer(t *testing.T, script []string) *Client {
 		case "fail":
 			http.Error(w, `{"error":"daemon restarting"}`, http.StatusServiceUnavailable)
 		case "running":
-			writeJSON(w, http.StatusOK, &Job{ID: "j000001", State: JobRunning})
+			WriteJSON(w, http.StatusOK, &Job{ID: "j000001", State: JobRunning})
 		case "done":
-			writeJSON(w, http.StatusOK, &Job{ID: "j000001", State: JobDone})
+			WriteJSON(w, http.StatusOK, &Job{ID: "j000001", State: JobDone})
 		default:
 			t.Errorf("bad script entry %q", script[i])
 		}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -53,6 +52,10 @@ type campaign struct {
 	shards [][]int
 	// outstanding holds run indices not yet claimed by an accepted result.
 	outstanding map[int]bool
+	// claimed holds each claimed run's result: the one delivered, which
+	// runJob holds anyway. Runs are deterministic, so a later record for
+	// the run that differs from it fails the campaign.
+	claimed map[int]*sim.Result
 	// inflight counts claimed runs whose delivery to the farm has not
 	// returned yet; the campaign completes only when both outstanding and
 	// inflight reach zero, so Dispatch never wakes before every accepted
@@ -194,6 +197,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, id farm.JobID, spec farm.Job
 		digest:      digest,
 		shards:      farm.PlanShards(need, c.opts.ShardSize),
 		outstanding: make(map[int]bool, len(need)),
+		claimed:     make(map[int]*sim.Result, len(need)),
 		deliver:     deliver,
 		done:        make(chan struct{}),
 	}
@@ -367,10 +371,10 @@ func (c *Coordinator) heartbeat(leaseID, worker string) bool {
 }
 
 // acceptResults folds one batch of worker results into the campaign. Every
-// record is judged by (job, run) alone — lease validity does not gate
-// acceptance, so a zombie worker's late results still count (idempotent
-// append-back; the store below dedups identically). Returns the number of
-// newly delivered runs and whether the worker should keep executing.
+// record is judged by (job, run) alone, not by lease, so a zombie worker's
+// late results still count; a record for a claimed run is compared with it
+// and dropped, and one that differs fails the campaign. Returns the number
+// of newly delivered runs and whether the worker should keep executing.
 func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bool) {
 	now := time.Now()
 	c.mu.Lock()
@@ -388,13 +392,29 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 	camp := c.campaigns[req.Job]
 	// Claim the fresh runs under the lock; deliver them outside it (the
 	// store append fsyncs — too slow to serialize every worker behind).
-	var fresh []farm.RunRecord
+	type claim struct {
+		run int
+		res *sim.Result
+	}
+	var fresh []claim
+	var failure error
 	for _, rec := range req.Records {
 		if camp != nil && camp.failed == nil && camp.outstanding[rec.Run] {
 			delete(camp.outstanding, rec.Run)
-			fresh = append(fresh, rec)
-		} else {
-			c.m.appendDuplicates.Inc()
+			res := rec.Result()
+			camp.claimed[rec.Run] = res
+			fresh = append(fresh, claim{rec.Run, res})
+			continue
+		}
+		c.m.appendDuplicates.Inc()
+		if camp == nil || failure != nil {
+			continue // the job no longer dispatches, or this batch already disagreed
+		}
+		if res, ok := camp.claimed[rec.Run]; ok {
+			if err := farm.NewRunRecord(rec.Run, res).Diff(rec); err != nil {
+				failure = fmt.Errorf("fleet: job %s run %d: worker %s sent a record that disagrees with the claimed one: %w",
+					req.Job, rec.Run, req.Worker, err)
+			}
 		}
 	}
 	if camp != nil {
@@ -403,10 +423,12 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 	c.mu.Unlock()
 
 	accepted := 0
-	var failure error
-	for _, rec := range fresh {
-		if err := camp.deliver(rec.Run, rec.Result()); err != nil {
-			failure = fmt.Errorf("fleet: job %s run %d: %w", req.Job, rec.Run, err)
+	for _, cl := range fresh {
+		if failure != nil {
+			break
+		}
+		if err := camp.deliver(cl.run, cl.res); err != nil {
+			failure = fmt.Errorf("fleet: job %s run %d: %w", req.Job, cl.run, err)
 			break
 		}
 		accepted++
@@ -479,51 +501,40 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/fleet/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if _, err := farm.DecodeBody(w, r, maxLeaseBody, &req); err != nil {
-			httpError(w, farm.BodyStatus(err), fmt.Errorf("bad lease request: %w", err))
+		if _, err := farm.DecodeBody(r, maxLeaseBody, &req); err != nil {
+			farm.HTTPError(w, farm.BodyStatus(err), fmt.Errorf("bad lease request: %w", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, leaseResponse{Lease: c.nextLease(req.Worker)})
+		farm.WriteJSON(w, http.StatusOK, leaseResponse{Lease: c.nextLease(req.Worker)})
 	})
 	mux.HandleFunc("POST /api/v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req heartbeatRequest
-		if _, err := farm.DecodeBody(w, r, maxHeartbeatBody, &req); err != nil {
-			httpError(w, farm.BodyStatus(err), fmt.Errorf("bad heartbeat: %w", err))
+		if _, err := farm.DecodeBody(r, maxHeartbeatBody, &req); err != nil {
+			farm.HTTPError(w, farm.BodyStatus(err), fmt.Errorf("bad heartbeat: %w", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, heartbeatResponse{OK: c.heartbeat(req.LeaseID, req.Worker)})
+		farm.WriteJSON(w, http.StatusOK, heartbeatResponse{OK: c.heartbeat(req.LeaseID, req.Worker)})
 	})
 	mux.HandleFunc("POST /api/v1/fleet/results", func(w http.ResponseWriter, r *http.Request) {
 		var req resultsRequest
-		n, err := farm.DecodeBody(w, r, maxResultsBody, &req)
+		n, err := farm.DecodeBody(r, maxResultsBody, &req)
 		if err != nil {
-			httpError(w, farm.BodyStatus(err), fmt.Errorf("bad results request: %w", err))
+			farm.HTTPError(w, farm.BodyStatus(err), fmt.Errorf("bad results request: %w", err))
 			return
 		}
 		accepted, ok := c.acceptResults(&req, n)
-		writeJSON(w, http.StatusOK, resultsResponse{Accepted: accepted, LeaseOK: ok})
+		farm.WriteJSON(w, http.StatusOK, resultsResponse{Accepted: accepted, LeaseOK: ok})
 	})
 	mux.HandleFunc("GET /api/v1/fleet/blob/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		data := c.blobData(r.PathValue("digest"))
 		if data == nil {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no bundle %s", r.PathValue("digest")))
+			farm.HTTPError(w, http.StatusNotFound, fmt.Errorf("no bundle %s", r.PathValue("digest")))
 			return
 		}
 		c.m.blobServeBytes.Add(uint64(len(data)))
+		// The stored bytes, not re-encoded: the digest names them.
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

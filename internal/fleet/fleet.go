@@ -19,10 +19,10 @@
 //     undelivered runs return to the shard queue for re-dispatch;
 //   - workers replay their runs from the fetched bundle alone (§5: every
 //     run is reproducible from the recorded logs plus the run index) and
-//     stream the resulting hash records back in batches. Append-back is
-//     idempotent by (job, run): the store commits one canonical record set
-//     even when a re-dispatched shard races its not-quite-dead predecessor,
-//     so stragglers are harmless, never double-counted;
+//     post the resulting hash records back in batches. Append-back is
+//     idempotent by (job, run): a straggler's record for a claimed run is
+//     compared with the first and dropped, never double-counted, and one
+//     that differs fails the job;
 //   - a shard a worker cannot execute from a bundle that matched its digest
 //     would fail on every worker, so the worker reports the cause on its
 //     final batch and the coordinator fails the job;

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -142,17 +144,7 @@ func TestCoordinatorProtocol(t *testing.T) {
 		dispatchErr <- c.Dispatch(bg, "j000001", spec, runner, need, deliver)
 	}()
 
-	// The dispatch registers asynchronously; wait for its shards.
-	var li *LeaseInfo
-	for deadline := time.Now().Add(10 * time.Second); li == nil; {
-		li = c.nextLease("wA")
-		if li == nil {
-			if time.Now().After(deadline) {
-				t.Fatal("no lease granted")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
+	li := firstLease(t, c, "wA")
 	if len(li.Runs) != 4 || li.Job != "j000001" {
 		t.Fatalf("first lease = %+v", li)
 	}
@@ -236,6 +228,67 @@ func TestCoordinatorProtocol(t *testing.T) {
 	}
 	if len(delivered) != camp.Runs-1 {
 		t.Fatalf("delivered %d distinct runs, want %d", len(delivered), camp.Runs-1)
+	}
+}
+
+// firstLease waits for a dispatch to register its campaign, which it does
+// asynchronously, and returns the campaign's first lease.
+func firstLease(t *testing.T, c *Coordinator, worker string) *LeaseInfo {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if li := c.nextLease(worker); li != nil {
+			return li
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no lease granted")
+		}
+	}
+}
+
+// TestDisagreeingDuplicateFailsJob: a record for an already claimed run is
+// compared with the claimed one. An identical copy is counted and dropped;
+// a copy with one SH bit flipped, from another worker, fails Dispatch with
+// an error naming the run and that worker.
+func TestDisagreeingDuplicateFailsJob(t *testing.T) {
+	spec := fleetSpec("fft", 4)
+	_, runner, need := recordedRunner(t, spec)
+	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
+	dispatchErr := make(chan error, 1)
+	go func() {
+		dispatchErr <- c.Dispatch(bg, "j000001", spec, runner, need, func(int, *sim.Result) error { return nil })
+	}()
+	li := firstLease(t, c, "wA")
+	run := li.Runs[0]
+	res, err := runner.Replay(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := farm.NewRunRecord(run, res)
+	post := func(worker string, rec farm.RunRecord) {
+		c.acceptResults(&resultsRequest{LeaseID: li.LeaseID, Worker: worker, Job: li.Job, Records: []farm.RunRecord{rec}}, 0)
+	}
+	post("wA", rec)
+	post("wA", rec)
+	if got := c.m.appendDuplicates.Value(); got != 1 {
+		t.Fatalf("appendback duplicates = %d after an identical copy, want 1", got)
+	}
+	select {
+	case err := <-dispatchErr:
+		t.Fatalf("Dispatch returned %v after an identical copy", err)
+	default:
+	}
+
+	flipped := rec
+	flipped.Checkpoints = append([]farm.CheckpointRecord(nil), rec.Checkpoints...)
+	flipped.Checkpoints[0].SH ^= 1
+	post("wB", flipped)
+	select {
+	case err := <-dispatchErr:
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("run %d", run)) || !strings.Contains(err.Error(), "worker wB") {
+			t.Fatalf("Dispatch returned %v, want an error naming run %d and worker wB", err, run)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Dispatch did not fail on a disagreeing record")
 	}
 }
 
@@ -333,8 +386,21 @@ func (blanks) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// countingBody is a request body that counts the bytes read from it.
+type countingBody struct {
+	r io.Reader
+	n int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n += n
+	return n, err
+}
+
 // TestRequestBodyBounds: a worker-facing body one byte over its endpoint's
-// bound gets 413, and the coordinator then serves a normal request on the
+// bound gets 413, and a body without a declared length (chunked) gets 411
+// with none of it read; the coordinator then serves a normal request on the
 // same endpoint.
 func TestRequestBodyBounds(t *testing.T) {
 	c := NewCoordinator(CoordinatorOptions{})
@@ -363,6 +429,14 @@ func TestRequestBodyBounds(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s: a body one byte over the bound got %s, want 413", tc.path, resp.Status)
 		}
+		// httptest.NewRequest declares no length for a reader of unknown size.
+		chunked := &countingBody{r: strings.NewReader(tc.normal)}
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, chunked))
+		if rec.Code != http.StatusLengthRequired || chunked.n != 0 {
+			t.Errorf("POST %s: a body without a declared length got %d after %d bytes read, want 411 after none",
+				tc.path, rec.Code, chunked.n)
+		}
 		resp, err = http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.normal))
 		if err != nil {
 			t.Fatal(err)
@@ -372,6 +446,122 @@ func TestRequestBodyBounds(t *testing.T) {
 			t.Errorf("POST %s: the normal request after it got %s", tc.path, resp.Status)
 		}
 	}
+}
+
+// TestLostLeaseEndsShard: a results batch the coordinator answers
+// lease_ok=false ends the shard at once. The fake coordinator serves a real
+// bundle for an 8-run shard and rejects the first batch of four; the worker
+// must replay no further run and post no further batch.
+func TestLostLeaseEndsShard(t *testing.T) {
+	spec := fleetSpec("fft", 9)
+	_, runner, need := recordedRunner(t, spec)
+	st, err := runner.ReplayState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, digest, err := MarshalBundle(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	batches := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/fleet/blob/{digest}", func(w http.ResponseWriter, r *http.Request) {
+		w.Write(raw)
+	})
+	mux.HandleFunc("POST /api/v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		farm.WriteJSON(w, http.StatusOK, heartbeatResponse{OK: true})
+	})
+	mux.HandleFunc("POST /api/v1/fleet/results", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		batches++
+		mu.Unlock()
+		farm.WriteJSON(w, http.StatusOK, resultsResponse{LeaseOK: false})
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+
+	var logs []string
+	w, err := NewWorker(WorkerOptions{Name: "w0", Coordinator: hs.URL, CacheDir: t.TempDir(),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.executeShard(bg, &LeaseInfo{LeaseID: "L000001", Job: "j000001", Spec: spec, Runs: need,
+		Digest: digest.String(), TTLMillis: time.Minute.Milliseconds()})
+	mu.Lock()
+	defer mu.Unlock()
+	if log := strings.Join(logs, "\n"); !strings.Contains(log, "done (4/8 runs") {
+		t.Errorf("the shard did not end after its first batch:\n%s", log)
+	}
+	if batches != 1 {
+		t.Errorf("worker posted %d results batches, want 1", batches)
+	}
+}
+
+// FuzzCoordinatorEndpoints posts arbitrary bodies to the lease, heartbeat
+// and results endpoints, and asks the blob endpoint for arbitrary digests,
+// on a coordinator with one registered campaign: job j000001, whose run 1 is
+// claimed and runs 2 and 3 outstanding, so a results body can reach the
+// claim and duplicate-compare paths, and one naming another job the
+// no-campaign path. chunked sends the body without a declared length.
+// Every answer must be 200, 400, 404, 411 or 413.
+func FuzzCoordinatorEndpoints(f *testing.F) {
+	bundle := []byte(`{"program":"fft","addr":[],"env":[]}`)
+	claimed := farm.RunRecord{Run: 1, Checkpoints: []farm.CheckpointRecord{{Ordinal: 0, Label: "end", SH: 0x1234}}}
+	results, err := json.Marshal(resultsRequest{LeaseID: "L000001", Worker: "w1", Job: "j000001",
+		Records: []farm.RunRecord{claimed, {Run: 2, Checkpoints: claimed.Checkpoints}}, Done: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), false, []byte(`{"worker":"w0"}`))
+	f.Add(uint8(1), false, []byte(`{"lease_id":"L000001","worker":"w0"}`))
+	f.Add(uint8(2), false, results)
+	f.Add(uint8(3), false, []byte(replay.DigestBytes(bundle).String()))
+	f.Fuzz(func(t *testing.T, endpoint uint8, chunked bool, body []byte) {
+		c := NewCoordinator(CoordinatorOptions{})
+		camp := &campaign{
+			id:          "j000001",
+			spec:        fleetSpec("fft", 4),
+			digest:      replay.DigestBytes(bundle),
+			shards:      [][]int{{2, 3}},
+			outstanding: map[int]bool{2: true, 3: true},
+			claimed:     map[int]*sim.Result{1: claimed.Result()},
+			deliver:     func(int, *sim.Result) error { return nil },
+			done:        make(chan struct{}),
+		}
+		c.campaigns[camp.id] = camp
+		c.order = append(c.order, camp.id)
+		c.blobs[camp.digest] = &blob{data: bundle, refs: 1}
+
+		var req *http.Request
+		switch endpoint % 4 {
+		case 3:
+			digest := url.PathEscape(string(body))
+			if digest == "." || digest == ".." {
+				return // the mux redirects a dot segment to its cleaned path
+			}
+			req = httptest.NewRequest(http.MethodGet, "/api/v1/fleet/blob/"+digest, nil)
+		default:
+			path := []string{"/api/v1/fleet/lease", "/api/v1/fleet/heartbeat", "/api/v1/fleet/results"}[endpoint%4]
+			var r io.Reader = bytes.NewReader(body)
+			if chunked {
+				r = io.MultiReader(r)
+			}
+			req = httptest.NewRequest(http.MethodPost, path, r)
+		}
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusLengthRequired, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("%s %s answered %d: %s", req.Method, req.URL.Path, rec.Code, rec.Body)
+		}
+	})
 }
 
 // fleetDaemon is an in-process fleet: a farm daemon whose replay stage is a

@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,15 +13,8 @@ import (
 	"instantcheck/internal/replay"
 )
 
-const (
-	// batchSize is the number of run records per results POST.
-	batchSize = 4
-	// maxInFlight bounds the run records buffered between the replay
-	// executor and the sender, in batches: when a slow coordinator leaves
-	// that many batches unacknowledged, replay execution blocks —
-	// backpressure instead of unbounded buffering.
-	maxInFlight = 2
-)
+// batchSize is the number of run records per results POST.
+const batchSize = 4
 
 // WorkerOptions configures one worker-node loop.
 type WorkerOptions struct {
@@ -72,11 +62,11 @@ func (o WorkerOptions) withDefaults() (WorkerOptions, error) {
 }
 
 // Worker is one fleet worker node: a pull loop leasing run-shards from a
-// coordinator, replaying them from content-addressed bundles, and streaming
+// coordinator, replaying them from content-addressed bundles, and posting
 // the hash records back.
 type Worker struct {
-	o  WorkerOptions
-	hc *http.Client
+	o WorkerOptions
+	c *farm.Client
 }
 
 // NewWorker validates the options and builds a worker.
@@ -85,7 +75,7 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Worker{o: o, hc: &http.Client{}}, nil
+	return &Worker{o: o, c: farm.NewClient(o.Coordinator)}, nil
 }
 
 // Run is the worker loop: lease, execute, repeat, until ctx is canceled.
@@ -93,36 +83,30 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 // daemon restarts the same way farm.Client.Wait does.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		li, err := w.requestLease(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		var resp leaseResponse
+		err := w.c.Do(ctx, http.MethodPost, "/api/v1/fleet/lease", leaseRequest{Worker: w.o.Name}, &resp)
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case err != nil:
 			w.o.Logf("fleet worker %s: lease request: %v", w.o.Name, err)
-			if !sleepCtx(ctx, w.o.PollInterval) {
-				return ctx.Err()
-			}
+		case resp.Lease != nil:
+			w.executeShard(ctx, resp.Lease)
 			continue
 		}
-		if li == nil {
-			if !sleepCtx(ctx, w.o.PollInterval) {
-				return ctx.Err()
-			}
-			continue
+		if !sleepCtx(ctx, w.o.PollInterval) {
+			return ctx.Err()
 		}
-		w.executeShard(ctx, li)
 	}
 }
 
 // executeShard runs one lease to completion: ensure the bundle, replay each
-// run, stream batches, heartbeat throughout. A shard the worker cannot
-// execute from a verified bundle (it does not decode, the spec does not
-// resolve, a run fails) ends with the cause on the final results batch:
-// every worker would fail it the same way, so the coordinator fails the job
-// instead of re-dispatching the shard.
+// run, post the records every batchSize runs, heartbeat throughout. The
+// final batch carries done, and the cause when the shard cannot be executed
+// from a verified bundle (it does not decode, the spec does not resolve, a
+// run fails), which fails the job: every worker would fail it the same way.
+// A batch that fails to post, or that the coordinator answers
+// lease_ok=false, ends the shard at once.
 func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 	raw, hit, err := w.ensureBundle(ctx, li.Digest)
 	if err != nil {
@@ -135,11 +119,13 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 	if hit {
 		fetch = "hit"
 	}
+	req := resultsRequest{LeaseID: li.LeaseID, Worker: w.o.Name, Job: li.Job, Fetch: fetch}
 	runner, execErr := replayRunner(li, raw)
 
 	// shardCtx dies with the lease: the heartbeat loop cancels it when the
 	// coordinator reports the lease gone, which stops replay work whose
 	// results nobody is waiting for (they would be dropped as duplicates).
+	// A single run may outlast the lease TTL, hence the separate goroutine.
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hbDone := make(chan struct{})
@@ -148,38 +134,32 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 		w.heartbeats(shardCtx, li, cancel)
 	}()
 
-	// The record channel is the backpressure bound: the replay executor
-	// blocks once maxInFlight batches' worth of records await the sender.
-	records := make(chan farm.RunRecord, batchSize*maxInFlight)
-	senderDone := make(chan error, 1)
-	go func() {
-		senderDone <- w.sendResults(shardCtx, li, fetch, records, &execErr)
-	}()
-
 	executed := 0
 	for _, run := range li.Runs {
-		if execErr != nil || shardCtx.Err() != nil {
+		if execErr != nil || err != nil || shardCtx.Err() != nil {
 			break
 		}
 		if w.o.RunLatency > 0 && !sleepCtx(shardCtx, w.o.RunLatency) {
 			break
 		}
-		res, err := runner.Replay(run)
-		if err != nil {
-			execErr = fmt.Errorf("run %d: %w", run, err)
+		res, rerr := runner.Replay(run)
+		if rerr != nil {
+			execErr = fmt.Errorf("run %d: %w", run, rerr)
 			break
 		}
-		select {
-		case records <- farm.NewRunRecord(run, res):
-			executed++
-		case <-shardCtx.Done():
-		}
-		if shardCtx.Err() != nil {
-			break
+		req.Records = append(req.Records, farm.NewRunRecord(run, res))
+		executed++
+		if len(req.Records) == batchSize {
+			err = w.postResults(shardCtx, &req)
 		}
 	}
-	close(records) // orders every write of execErr before the sender reads it
-	err = <-senderDone
+	if err == nil {
+		req.Done = true
+		if execErr != nil {
+			req.Error = execErr.Error()
+		}
+		err = w.postResults(shardCtx, &req)
+	}
 	cancel()
 	<-hbDone
 	if execErr != nil {
@@ -190,6 +170,21 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 	}
 	w.o.Logf("fleet worker %s: lease %s done (%d/%d runs, bundle %s)",
 		w.o.Name, li.LeaseID, executed, len(li.Runs), fetch)
+}
+
+// postResults posts one results batch and clears req for the next; Fetch
+// goes on the shard's first batch only. A batch before the final one that
+// the coordinator answers lease_ok=false is an error: the campaign moved on.
+func (w *Worker) postResults(ctx context.Context, req *resultsRequest) error {
+	var resp resultsResponse
+	if err := w.c.Do(ctx, http.MethodPost, "/api/v1/fleet/results", req, &resp); err != nil {
+		return err
+	}
+	req.Fetch, req.Records = "", req.Records[:0]
+	if !resp.LeaseOK && !req.Done {
+		return fmt.Errorf("lease %s lost (coordinator moved on)", req.LeaseID)
+	}
+	return nil
 }
 
 // replayRunner decodes a verified bundle and builds the runner that replays
@@ -204,55 +199,6 @@ func replayRunner(li *LeaseInfo, raw []byte) (*core.Runner, error) {
 		return nil, fmt.Errorf("bad spec: %w", err)
 	}
 	return camp.NewReplayRunner(build, st)
-}
-
-// sendResults drains the record channel into batched POSTs, the final batch
-// flagged Done so the coordinator releases the lease promptly, and carrying
-// *execErr, which it reads once records is closed. A batch the coordinator
-// answers with lease_ok=false aborts the shard.
-func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, records <-chan farm.RunRecord, execErr *error) error {
-	first := true
-	var batch []farm.RunRecord
-	flush := func(done bool) error {
-		if len(batch) == 0 && !done {
-			return nil
-		}
-		req := resultsRequest{
-			LeaseID: li.LeaseID,
-			Worker:  w.o.Name,
-			Job:     li.Job,
-			Records: batch,
-			Done:    done,
-		}
-		if first {
-			req.Fetch = fetch
-			first = false
-		}
-		if done && *execErr != nil {
-			req.Error = (*execErr).Error()
-		}
-		batch = batch[:0]
-		var resp resultsResponse
-		if err := w.post(ctx, "/api/v1/fleet/results", req, &resp); err != nil {
-			return err
-		}
-		if !resp.LeaseOK && !done {
-			return fmt.Errorf("lease %s lost (coordinator moved on)", li.LeaseID)
-		}
-		return nil
-	}
-	for rec := range records {
-		batch = append(batch, rec)
-		if len(batch) >= batchSize {
-			if err := flush(false); err != nil {
-				// Drain so the executor never blocks on a dead sender.
-				for range records {
-				}
-				return err
-			}
-		}
-	}
-	return flush(true)
 }
 
 // heartbeats renews the lease at a third of its TTL until the shard ends;
@@ -271,7 +217,7 @@ func (w *Worker) heartbeats(ctx context.Context, li *LeaseInfo, cancel context.C
 		case <-t.C:
 		}
 		var resp heartbeatResponse
-		err := w.post(ctx, "/api/v1/fleet/heartbeat", heartbeatRequest{LeaseID: li.LeaseID, Worker: w.o.Name}, &resp)
+		err := w.c.Do(ctx, http.MethodPost, "/api/v1/fleet/heartbeat", heartbeatRequest{LeaseID: li.LeaseID, Worker: w.o.Name}, &resp)
 		if err != nil {
 			continue // transient: the lease survives missed beats up to TTL
 		}
@@ -281,15 +227,6 @@ func (w *Worker) heartbeats(ctx context.Context, li *LeaseInfo, cancel context.C
 			return
 		}
 	}
-}
-
-// requestLease asks for a shard; nil without error means no work.
-func (w *Worker) requestLease(ctx context.Context) (*LeaseInfo, error) {
-	var resp leaseResponse
-	if err := w.post(ctx, "/api/v1/fleet/lease", leaseRequest{Worker: w.o.Name}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Lease, nil
 }
 
 // ensureBundle returns the bundle bytes for a digest, from the disk cache
@@ -305,10 +242,11 @@ func (w *Worker) ensureBundle(ctx context.Context, digest string) ([]byte, bool,
 	if raw, err := os.ReadFile(path); err == nil && replay.DigestBytes(raw) == d {
 		return raw, true, nil
 	}
-	raw, err := w.fetchBlob(ctx, digest)
+	blob, err := w.c.Text(ctx, "/api/v1/fleet/blob/"+digest)
 	if err != nil {
 		return nil, false, err
 	}
+	raw := []byte(blob)
 	if replay.DigestBytes(raw) != d {
 		return nil, false, fmt.Errorf("fleet: fetched bundle does not match digest %s", digest)
 	}
@@ -327,46 +265,6 @@ func (w *Worker) ensureBundle(ctx context.Context, digest string) ([]byte, bool,
 		}
 	}
 	return raw, false, nil
-}
-
-// fetchBlob downloads a bundle.
-func (w *Worker) fetchBlob(ctx context.Context, digest string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.o.Coordinator+"/api/v1/fleet/blob/"+digest, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: blob %s: HTTP %d", digest, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// post sends one JSON request and decodes the JSON response.
-func (w *Worker) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.o.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("fleet: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // sleepCtx sleeps d unless ctx ends first; false means the context died.
