@@ -130,7 +130,8 @@ type Report struct {
 	Program string
 	// Campaign echoes the configuration used.
 	Campaign Campaign
-	// Runs holds each run's result, in run order.
+	// Runs holds each run's result, in run order: set by Check and
+	// Assemble, nil in a report a Fold built on its own.
 	Runs []*sim.Result
 	// Stats summarizes each checkpoint ordinal across runs. When runs
 	// disagree on the number of checkpoints (ShapeMismatch), Stats covers
@@ -251,63 +252,115 @@ func (c Campaign) Check(build Builder) (*Report, error) {
 	return rep, nil
 }
 
-func (c Campaign) summarize(rep *Report) {
-	if len(rep.Runs) == 0 {
-		return
+// Fold builds a campaign's report one run at a time, so a caller that
+// streams runs in holds per-checkpoint tallies instead of every run's
+// checkpoint vector. Run 0, the recording run, comes first; the replay
+// runs follow in any order. Every statistic is commutative over the
+// replay runs (FirstNDetRun is the least differing run), so the report
+// does not depend on their order.
+type Fold struct {
+	rep *Report
+	// tallies holds one entry per checkpoint of run 0.
+	tallies []tally
+	// points is the least checkpoint count folded so far.
+	points    int
+	seen      []bool
+	folded    int
+	outputs   map[string]bool
+	sawOutput bool
+}
+
+// tally counts the runs per distinct State Hash at one checkpoint ordinal.
+// Its first entry is run 0's hash.
+type tally struct {
+	label  string
+	counts []shCount
+}
+
+type shCount struct {
+	sh ihash.Digest
+	n  int
+}
+
+// NewFold starts the report of a campaign on the named program.
+func (c Campaign) NewFold(program string) (*Fold, error) {
+	c, err := c.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	points := len(rep.Runs[0].Checkpoints)
-	for _, r := range rep.Runs[1:] {
-		if len(r.Checkpoints) != points {
-			rep.ShapeMismatch = true
-			if len(r.Checkpoints) < points {
-				points = len(r.Checkpoints)
+	return &Fold{
+		rep:     &Report{Program: program, Campaign: c},
+		seen:    make([]bool, c.Runs),
+		outputs: make(map[string]bool),
+	}, nil
+}
+
+// Add folds in the result of run (0-based). Run 0 must come first, and
+// each run once.
+func (f *Fold) Add(run int, res *sim.Result) error {
+	switch {
+	case run < 0 || run >= len(f.seen):
+		return fmt.Errorf("core: fold: run %d out of range [1, %d]", run+1, len(f.seen))
+	case f.seen[run]:
+		return fmt.Errorf("core: fold: run %d folded twice", run+1)
+	case run != 0 && !f.seen[0]:
+		return fmt.Errorf("core: fold: run %d before run 1", run+1)
+	}
+	f.seen[run] = true
+	f.folded++
+	cps := res.Checkpoints
+	if run == 0 {
+		f.points = len(cps)
+		f.tallies = make([]tally, len(cps))
+		for j, cp := range cps {
+			f.tallies[j] = tally{label: cp.Label, counts: []shCount{{cp.SH, 1}}}
+		}
+	} else {
+		differs := len(cps) != len(f.tallies)
+		if differs {
+			f.rep.ShapeMismatch = true
+			f.points = min(f.points, len(cps))
+		}
+		for j := range min(len(cps), len(f.tallies)) {
+			t := &f.tallies[j]
+			sh := cps[j].SH
+			differs = differs || sh != t.counts[0].sh
+			i := 0
+			for i < len(t.counts) && t.counts[i].sh != sh {
+				i++
 			}
-		}
-	}
-	base := rep.Runs[0].SHVector()
-	for i, r := range rep.Runs {
-		if i == 0 {
-			continue
-		}
-		if rep.FirstNDetRun != 0 {
-			break
-		}
-		v := r.SHVector()
-		if len(v) != len(base) {
-			rep.FirstNDetRun = i + 1
-			break
-		}
-		for j := range v {
-			if v[j] != base[j] {
-				rep.FirstNDetRun = i + 1
-				break
+			if i == len(t.counts) {
+				t.counts = append(t.counts, shCount{sh: sh})
 			}
+			t.counts[i].n++
+		}
+		if differs && (f.rep.FirstNDetRun == 0 || run+1 < f.rep.FirstNDetRun) {
+			f.rep.FirstNDetRun = run + 1
 		}
 	}
-	outputs := make(map[string]bool)
-	sawOutput := false
-	for _, r := range rep.Runs {
-		if r.OutputBytes > 0 {
-			sawOutput = true
-		}
-		outputs[outputSignature(r.Outputs)] = true
+	if res.OutputBytes > 0 {
+		f.sawOutput = true
 	}
-	if sawOutput {
-		rep.OutputDistinct = len(outputs)
+	f.outputs[outputSignature(res.Outputs)] = true
+	return nil
+}
+
+// Report returns the campaign's report once every run is folded in. Its
+// Runs field is nil: the fold keeps no run.
+func (f *Fold) Report() (*Report, error) {
+	if f.folded != len(f.seen) {
+		return nil, fmt.Errorf("core: fold: %d of %d runs folded", f.folded, len(f.seen))
 	}
-	for ord := 0; ord < points; ord++ {
-		counts := make(map[ihash.Digest]int)
-		for _, r := range rep.Runs {
-			counts[r.Checkpoints[ord].SH]++
-		}
-		dist := make([]int, 0, len(counts))
-		for _, n := range counts {
-			dist = append(dist, n)
+	rep := f.rep
+	for ord, t := range f.tallies[:f.points] {
+		dist := make([]int, len(t.counts))
+		for i, c := range t.counts {
+			dist[i] = c.n
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(dist)))
 		st := CheckpointStat{
 			Ordinal:       ord,
-			Label:         rep.Runs[0].Checkpoints[ord].Label,
+			Label:         t.label,
 			Distribution:  dist,
 			Deterministic: len(dist) == 1,
 		}
@@ -318,9 +371,13 @@ func (c Campaign) summarize(rep *Report) {
 			rep.NDetPoints++
 		}
 	}
-	if points > 0 {
-		rep.DetAtEnd = rep.Stats[points-1].Deterministic && !rep.ShapeMismatch
+	if f.points > 0 {
+		rep.DetAtEnd = rep.Stats[f.points-1].Deterministic && !rep.ShapeMismatch
 	}
+	if f.sawOutput {
+		rep.OutputDistinct = len(f.outputs)
+	}
+	return rep, nil
 }
 
 // outputSignature canonicalizes a run's per-descriptor stream hashes so

@@ -20,9 +20,10 @@ import (
 //     number of goroutines: each replay run works on a private clone of
 //     the recorded logs, so a replay run depends only on the recording
 //     and its run index. ReplayAll is the pool that runs a list of them.
-//  3. Campaign.Assemble merges the per-run results into a Report. The
-//     comparison is commutative over runs, so the report does not depend
-//     on the order in which the runs finished.
+//  3. A Fold merges the per-run results into a Report as they arrive
+//     (Campaign.Assemble folds a gathered slice). The comparison is
+//     commutative over runs, so the report does not depend on the order
+//     in which the runs finished.
 type Runner struct {
 	c        Campaign
 	build    Builder
@@ -236,24 +237,30 @@ func forkSeed(inputSeed int64, run int) int64 {
 
 // Assemble merges per-run results (indexed in run order, all non-nil) into
 // a campaign report — the merge stage of a parallel campaign. Program
-// names the checked program. Assemble performs the same summary as Check;
-// it exists so that callers which executed the runs themselves (possibly
-// resuming some from a persistent hash log) can fold them into the
-// standard report shape.
+// names the checked program. Assemble folds the runs in through a Fold,
+// as Check does, and keeps them in the report's Runs; callers that stream
+// runs in (the farm, resuming some from a persistent hash log) use a Fold
+// directly and keep none.
 func (c Campaign) Assemble(program string, runs []*sim.Result) (*Report, error) {
-	c, err := c.withDefaults()
+	f, err := c.NewFold(program)
 	if err != nil {
 		return nil, err
 	}
-	if len(runs) != c.Runs {
-		return nil, fmt.Errorf("core: assemble got %d results for a %d-run campaign", len(runs), c.Runs)
+	if len(runs) != f.rep.Campaign.Runs {
+		return nil, fmt.Errorf("core: assemble got %d results for a %d-run campaign", len(runs), f.rep.Campaign.Runs)
 	}
 	for i, res := range runs {
 		if res == nil {
 			return nil, fmt.Errorf("core: assemble: run %d result missing", i+1)
 		}
+		if err := f.Add(i, res); err != nil {
+			return nil, err
+		}
 	}
-	rep := &Report{Program: program, Campaign: c, Runs: runs}
-	c.summarize(rep)
+	rep, err := f.Report()
+	if err != nil {
+		return nil, err
+	}
+	rep.Runs = runs
 	return rep, nil
 }

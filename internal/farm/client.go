@@ -65,13 +65,7 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("farm: %s %s: %s", method, path, e.Error)
-		}
-		return fmt.Errorf("farm: %s %s: HTTP %d", method, path, resp.StatusCode)
+		return responseError(method, path, resp)
 	}
 	if out == nil {
 		return nil
@@ -79,7 +73,22 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Text performs one GET returning the raw response body.
+// responseError maps an error response to a Go error, carrying the
+// daemon's {"error": ...} message when the body holds one.
+func responseError(method, path string, resp *http.Response) error {
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		return fmt.Errorf("farm: %s %s: %s", method, path, e.Error)
+	}
+	return fmt.Errorf("farm: %s %s: HTTP %d", method, path, resp.StatusCode)
+}
+
+// Text performs one GET returning the raw response body. A body of
+// declared length is read into a buffer of exactly that length, which
+// becomes the string without a copy; a body shorter than declared is an
+// error.
 func (c *Client) Text(ctx context.Context, path string) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
@@ -90,14 +99,17 @@ func (c *Client) Text(ctx context.Context, path string) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if resp.StatusCode >= 300 {
+		return "", responseError(http.MethodGet, path, resp)
+	}
+	var sb strings.Builder
+	if resp.ContentLength > 0 {
+		sb.Grow(int(resp.ContentLength))
+	}
+	if _, err := io.Copy(&sb, resp.Body); err != nil {
 		return "", err
 	}
-	if resp.StatusCode >= 300 {
-		return "", fmt.Errorf("farm: GET %s: HTTP %d", path, resp.StatusCode)
-	}
-	return string(b), nil
+	return sb.String(), nil
 }
 
 // Submit enqueues a campaign and returns the accepted job.

@@ -72,8 +72,8 @@ func TestAppendRunIdempotent(t *testing.T) {
 	if got := jl.CompletedRuns(); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("completed runs = %v", got)
 	}
-	if rl := jl.Run(2); len(rl.Checkpoints) != 3 || rl.Checkpoints[0].SH != 500 {
-		t.Errorf("run 2 reloaded as %+v", rl)
+	if rl, err := jl.Run(2); err != nil || len(rl.Checkpoints) != 3 || rl.Checkpoints[0].SH != 500 {
+		t.Errorf("run 2 reloaded as %+v, %v", rl, err)
 	}
 }
 
@@ -152,5 +152,48 @@ func TestDispatcherSeamWithDuplicates(t *testing.T) {
 	}
 	if len(disp.delivered) != spec.Runs-1 {
 		t.Errorf("dispatcher saw %d runs, want %d", len(disp.delivered), spec.Runs-1)
+	}
+}
+
+// lateDuplicateDispatcher delivers every run in turn, then a second copy
+// of one run with its first State Hash flipped, after the first copy's
+// delivery has returned: a zombie lease reporting late from a worker
+// built from another commit.
+type lateDuplicateDispatcher struct{ run int }
+
+func (d lateDuplicateDispatcher) Dispatch(ctx context.Context, id JobID, spec JobSpec, runner *core.Runner, need []int,
+	deliver func(run int, res *sim.Result) error) error {
+
+	replay := func(run int, flip bool) error {
+		res, err := runner.Replay(run)
+		if err != nil {
+			return err
+		}
+		if flip {
+			res.Checkpoints[0].SH ^= 1
+		}
+		return deliver(run, res)
+	}
+	for _, run := range need {
+		if err := replay(run, false); err != nil {
+			return err
+		}
+	}
+	return replay(d.run, true)
+}
+
+// TestLateDisagreeingDuplicateFailsJob: every delivery reaches the store,
+// which compares a run already committed with its record, so a duplicate
+// that differs fails the job however late it arrives.
+func TestLateDisagreeingDuplicateFailsJob(t *testing.T) {
+	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"),
+		Options{RunWorkers: 1, Dispatcher: lateDuplicateDispatcher{run: 2}})
+	job, err := c.Submit(bg, smokeSpec("radix", "mix64"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, c, job.ID)
+	if done.State != JobFailed || !strings.Contains(done.Error, "run 2: duplicate append disagrees") {
+		t.Fatalf("job with a late disagreeing duplicate of run 2: %s: %q", done.State, done.Error)
 	}
 }

@@ -21,11 +21,12 @@ import (
 //     streamed results back through deliver.
 //
 // The contract: Dispatch returns only after every run in need has been
-// passed to deliver exactly once, or with the first error. deliver may be
-// called concurrently for distinct runs but never twice for the same run;
-// runJob additionally dedups by run index, so a dispatcher that re-issues
-// work (straggler re-dispatch racing its zombie) is still safe. Dispatch
-// must respect ctx cancellation.
+// passed to deliver, and every deliver call has returned, or with the
+// first error. deliver may be called concurrently, and more than once for
+// a run: a dispatcher that re-issues work (straggler re-dispatch racing
+// its zombie) passes every copy it receives, and deliver persists each,
+// which compares it with the committed record, and folds only the first.
+// Dispatch must respect ctx cancellation.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, id JobID, spec JobSpec, runner *core.Runner, need []int,
 		deliver func(run int, res *sim.Result) error) error
@@ -58,20 +59,23 @@ func PlanShards(need []int, size int) [][]int {
 //
 //   - the recording run executes first and alone (it records the replay
 //     logs every other run depends on, §5);
+//   - runs already committed in prior (a resumed campaign) are not
+//     re-executed — each is read back from the store, folded in and
+//     dropped;
 //   - the remaining runs go to the dispatcher — core's replay pool,
 //     workers wide, by default, a fleet coordinator when one is
 //     configured;
-//   - runs already committed in prior (a resumed campaign) are not
-//     re-executed — their hash vectors come straight from the store;
-//   - the merge stage folds all vectors into a report. The hash combine
-//     and the cross-run comparison are commutative, so the report is
-//     byte-identical to Campaign.Check's.
+//   - every run is folded into the report (core.Fold) as it is committed,
+//     then dropped, so the job holds per-checkpoint tallies and never
+//     every run's hash vector. The cross-run comparison is commutative, so
+//     the report is byte-identical to Campaign.Check's.
 //
-// onRun is called once per newly executed run, from at most one goroutine
-// at a time per run but concurrently across runs; the store's AppendRun is
-// the intended sink. progress is called after every finished run. m (nil
-// allowed) receives the runCounters of every run executed in this process.
-// disp nil selects the local pool of workers goroutines.
+// onRun is called for every delivery of an executed run, concurrently
+// across runs; the store's AppendRun is the intended sink, and it compares
+// a second delivery of a run with the committed record. progress is
+// called after every newly folded run. m (nil allowed) receives the
+// runCounters of every run executed in this process. disp nil selects the
+// local pool of workers goroutines. The core report's Runs is nil.
 func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metrics, disp Dispatcher, workers int,
 	onRun func(run int, res *sim.Result) error,
 	progress func(done, total int)) (*Report, *core.Report, error) {
@@ -85,30 +89,8 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 		return nil, nil, err
 	}
 	total := camp.Runs
-	results := make([]*sim.Result, total)
-	done := 0
-	report := func(run int, res *sim.Result) error {
-		if onRun != nil {
-			if err := onRun(run, res); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Resurrect committed runs from the store. Their hashes are trusted;
-	// run 0 is additionally cross-checked below against the re-recorded
-	// run, which catches a log written by a different binary or input.
-	if prior != nil {
-		for _, run := range prior.CompletedRuns() {
-			if run < total {
-				results[run] = prior.Run(run).Result()
-				done++
-				if m != nil {
-					m.runsRestored.Inc()
-				}
-			}
-		}
+	if onRun == nil {
+		onRun = func(int, *sim.Result) error { return nil }
 	}
 
 	// Recording run. Even when run 0 was committed before a restart it is
@@ -120,18 +102,53 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 		return nil, nil, err
 	}
 	m.observeRun(camp.Scheme, first, time.Since(recordStart))
-	if results[0] != nil {
-		if err := prior.Run(0).Diff(NewRunRecord(0, first)); err != nil {
-			return nil, nil, fmt.Errorf("farm: stored hash log disagrees with re-recorded run 1: %w", err)
+	fold, err := camp.NewFold(runner.Name())
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := fold.Add(0, first); err != nil {
+		return nil, nil, err
+	}
+
+	// Resurrect committed runs from the store. Their hashes are trusted;
+	// run 0 is checked against the re-recorded run instead, which catches
+	// a log written by a different binary or input.
+	committed := make([]bool, total)
+	done := 0
+	if prior != nil {
+		for _, run := range prior.CompletedRuns() {
+			if run < 0 || run >= total {
+				continue
+			}
+			rec, err := prior.Run(run)
+			if err != nil {
+				return nil, nil, err
+			}
+			if run == 0 {
+				err = rec.Diff(NewRunRecord(0, first))
+				if err != nil {
+					err = fmt.Errorf("farm: stored hash log disagrees with re-recorded run 1: %w", err)
+				}
+			} else {
+				err = fold.Add(run, rec.Result())
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			committed[run] = true
+			done++
+			if m != nil {
+				m.runsRestored.Inc()
+			}
 		}
-	} else {
-		if err := report(0, first); err != nil {
+	}
+	if !committed[0] {
+		if err := onRun(0, first); err != nil {
 			return nil, nil, err
 		}
+		committed[0] = true
 		done++
 	}
-	results[0] = first
-	var mu sync.Mutex
 	if progress != nil {
 		progress(done, total)
 	}
@@ -141,29 +158,28 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 
 	var need []int
 	for run := 1; run < total; run++ {
-		if results[run] == nil {
+		if !committed[run] {
 			need = append(need, run)
 		}
 	}
-	// deliver persists and folds one dispatched run. Duplicate deliveries
-	// of a run (a re-dispatched shard racing its zombie lease) are dropped
-	// after the store's own idempotence check accepted them.
+	// deliver persists and folds one dispatched run. A later delivery of a
+	// run (a re-dispatched shard racing its zombie lease) is persisted
+	// too, which compares it with the committed record, and is not folded
+	// again.
+	var mu sync.Mutex
 	deliver := func(run int, res *sim.Result) error {
-		mu.Lock()
-		dup := results[run] != nil
-		mu.Unlock()
-		if dup {
-			return nil
-		}
-		if err := report(run, res); err != nil {
+		if err := onRun(run, res); err != nil {
 			return err
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if results[run] != nil {
+		if committed[run] {
 			return nil
 		}
-		results[run] = res
+		if err := fold.Add(run, res); err != nil {
+			return err
+		}
+		committed[run] = true
 		done++
 		if progress != nil {
 			progress(done, total)
@@ -186,7 +202,9 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 		return nil, nil, err
 	}
 
-	coreRep, err := camp.Assemble(runner.Name(), results)
+	mu.Lock()
+	coreRep, err := fold.Report()
+	mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -195,7 +213,8 @@ func runJob(ctx context.Context, id JobID, spec JobSpec, prior *JobLog, m *Metri
 
 // reportFromLog assembles a finished job's report purely from its stored
 // hash log — the restart path for jobs that completed before the daemon
-// went down. Every run must be committed.
+// went down. Every run must be committed; each is read back, folded in
+// and dropped.
 func reportFromLog(jl *JobLog) (*Report, error) {
 	camp, _, err := jl.Spec.Resolve()
 	if err != nil {
@@ -205,14 +224,23 @@ func reportFromLog(jl *JobLog) (*Report, error) {
 	if len(completed) != camp.Runs {
 		return nil, fmt.Errorf("farm: job %s: %d of %d runs in log", jl.ID, len(completed), camp.Runs)
 	}
-	results := make([]*sim.Result, camp.Runs)
-	for _, run := range completed {
-		if run >= camp.Runs {
+	fold, err := camp.NewFold(jl.Spec.App)
+	if err != nil {
+		return nil, err
+	}
+	for _, run := range completed { // in increasing order: run 0 first
+		if run < 0 || run >= camp.Runs {
 			return nil, fmt.Errorf("farm: job %s: run %d out of range", jl.ID, run)
 		}
-		results[run] = jl.Run(run).Result()
+		rec, err := jl.Run(run)
+		if err != nil {
+			return nil, err
+		}
+		if err := fold.Add(run, rec.Result()); err != nil {
+			return nil, err
+		}
 	}
-	coreRep, err := camp.Assemble(jl.Spec.App, results)
+	coreRep, err := fold.Report()
 	if err != nil {
 		return nil, err
 	}

@@ -226,7 +226,7 @@ type ExploreOutcome = explore.Outcome
 func projectReport(rep *core.Report) *Report {
 	return &Report{
 		Program:        rep.Program,
-		Runs:           len(rep.Runs),
+		Runs:           rep.Campaign.Runs,
 		Points:         rep.Points(),
 		DetPoints:      rep.DetPoints,
 		NDetPoints:     rep.NDetPoints,
@@ -258,10 +258,7 @@ func WriteHashLog(w io.Writer, lines []HashLogLine) error {
 	bw := bufio.NewWriter(w)
 	var b []byte
 	for _, l := range lines {
-		b = strconv.AppendInt(b[:0], int64(l.Run), 10)
-		b = strconv.AppendInt(append(b, ' '), int64(l.Ordinal), 10)
-		b = appendHex16(append(b, ' '), uint64(l.SH))
-		b = strconv.AppendQuote(append(b, ' '), l.Label)
+		b = appendHashLogFields(b[:0], l.Run, CheckpointRecord{Ordinal: l.Ordinal, Label: l.Label, SH: l.SH})
 		if _, err := bw.Write(append(b, '\n')); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -587,8 +588,21 @@ func (s *Server) Handler() http.Handler {
 			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %s", id))
 			return
 		}
+		size, err := jl.HashLogSize()
+		if err != nil {
+			HTTPError(w, http.StatusInternalServerError, err)
+			return
+		}
+		// The runs are read back and written one at a time: the job's hash
+		// log is never held in memory.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		WriteHashLog(w, jl.HashLog())
+		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+		if err := jl.WriteHashLog(w); err != nil {
+			// A run that stopped reading back after the status line ends
+			// the body short of its declared length, which the client
+			// reads as an error.
+			s.opts.Logf("farm: job %s: hash log: %v", id, err)
+		}
 	})
 	mux.HandleFunc("POST /api/v1/compare", func(w http.ResponseWriter, r *http.Request) {
 		var req CompareRequest
@@ -621,7 +635,11 @@ func (s *Server) compareSide(job JobID, log, side string) ([]HashLogLine, error)
 		if jl == nil {
 			return nil, fmt.Errorf("compare side %s: no job %s", side, job)
 		}
-		return jl.HashLog(), nil
+		lines, err := jl.HashLog()
+		if err != nil {
+			return nil, fmt.Errorf("compare side %s: %w", side, err)
+		}
+		return lines, nil
 	case log != "":
 		lines, err := ParseHashLog(strings.NewReader(log))
 		if err != nil {

@@ -433,6 +433,100 @@ func TestCompareRejectsNegativeIndex(t *testing.T) {
 	}
 }
 
+// TestHashLogStream checks the hashlog endpoint's framing: the body is
+// exactly its declared Content-Length, the canonical text of every
+// committed run, and a missing job's hash log is an error naming the job,
+// the daemon's message carried through Client.Text.
+func TestHashLogStream(t *testing.T) {
+	srv, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 2})
+	spec := smokeSpec("barnes", "mix64")
+	job, err := c.Submit(bg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job = waitDone(t, c, job.ID); job.State != JobDone {
+		t.Fatalf("job %s: %s", job.State, job.Error)
+	}
+	resp, err := http.Get(c.BaseURL + "/api/v1/jobs/" + string(job.ID) + "/hashlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) || len(body) == 0 {
+		t.Errorf("hashlog: %s, Content-Length %d, %d body bytes", resp.Status, resp.ContentLength, len(body))
+	}
+	want, err := srv.store.Job(job.ID).HashLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantText strings.Builder
+	if err := WriteHashLog(&wantText, want); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Report(bg, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != wantText.String() || len(want) != spec.Runs*rep.Points {
+		t.Errorf("hashlog body (%d lines) differs from the job's %d records", strings.Count(string(body), "\n"), len(want))
+	}
+
+	if _, err := c.HashLog(bg, "j999999"); err == nil || !strings.Contains(err.Error(), "no job j999999") {
+		t.Errorf("hash log of a missing job: err = %v, want one naming the job", err)
+	}
+}
+
+// TestHashLogDuringJob fetches a job's hash log over and over while the
+// job commits runs: every answer must be whole runs of canonical text of
+// exactly its declared length (Client.Text fails a short body), some of
+// them partial, and the last one the finished log. CI runs it under
+// -race, with the store appending and the endpoint reading back.
+func TestHashLogDuringJob(t *testing.T) {
+	srv, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 2})
+	spec := smokeSpec("radix", "mix64")
+	spec.Runs = 128
+	job, err := c.Submit(bg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetched []int
+	for running := true; running; {
+		running = !srv.Job(job.ID).State.Terminal()
+		text, err := c.HashLog(bg, job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := ParseHashLog(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetched = append(fetched, len(lines))
+	}
+	rep, err := c.Report(bg, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, partial := spec.Runs*rep.Points, 0
+	for _, n := range fetched {
+		if n%rep.Points != 0 {
+			t.Fatalf("a hash log of %d lines is not whole runs of %d checkpoints", n, rep.Points)
+		}
+		if n > 0 && n < total {
+			partial++
+		}
+	}
+	if last := fetched[len(fetched)-1]; last != total {
+		t.Errorf("finished hash log has %d lines, want %d", last, total)
+	}
+	if partial == 0 {
+		t.Errorf("no partial hash log among %d fetched while the job ran", len(fetched))
+	}
+}
+
 // TestResumeStoreBufferWordsStore resumes a store written by a daemon
 // whose JobSpec still had the store_buffer_words and parallelism fields:
 // its job line carries "store_buffer_words":-1 (inline per-store hashing),
@@ -460,7 +554,13 @@ func TestResumeStoreBufferWordsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := len(st.Job(id).CompletedRuns())
+	jl := st.Job(id)
+	committed := len(jl.CompletedRuns())
+	for _, run := range jl.CompletedRuns() {
+		if _, err := jl.Run(run); err != nil {
+			t.Error(err)
+		}
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
@@ -36,6 +37,14 @@ import (
 // is reproducible from (seed, replay logs) alone, re-execution yields the
 // same hashes the lost lines would have contained, so a resumed campaign
 // converges to the identical report.
+//
+// The in-memory index keeps no hashes: each committed run is the byte
+// range from its runstart line through its runend line, plus the length
+// of its checkpoints in the hash-log text form. A run's record is read
+// back from its range, through the loader's own line parser, only when it
+// is needed: to resume a job, to compare a duplicate append, and to serve
+// or compare a hash log. A daemon's memory therefore does not grow with
+// the runs it has committed.
 
 const storeHeader = "checkfarm-log v1"
 
@@ -135,12 +144,28 @@ type JobLog struct {
 	// (nil for check jobs and for explore jobs that never completed).
 	Explore *ExploreOutcome
 
-	// runs holds the committed runs by index.
-	runs map[int]*RunRecord
+	// store reads committed runs back; runs locates them by index.
+	store *Store
+	runs  map[int]runSpan
 }
 
-// Run returns the committed record of the given run, or nil.
-func (jl *JobLog) Run(run int) *RunRecord { return jl.runs[run] }
+// runSpan locates one committed run in the log file: the byte range of its
+// lines, runstart through runend, its checkpoint count and their byte
+// length in the hash-log text form.
+type runSpan struct {
+	off, n int64
+	ncp    int
+	logLen int64
+}
+
+// Run reads the committed record of the given run back from the store.
+func (jl *JobLog) Run(run int) (*RunRecord, error) {
+	sp, ok := jl.runs[run]
+	if !ok {
+		return nil, fmt.Errorf("farm: job %s run %d is not committed", jl.ID, run)
+	}
+	return jl.store.readRun(jl.ID, run, sp)
+}
 
 // CompletedRuns lists the committed run indices in increasing order.
 func (jl *JobLog) CompletedRuns() []int {
@@ -152,16 +177,61 @@ func (jl *JobLog) CompletedRuns() []int {
 	return out
 }
 
-// HashLog flattens the job's committed runs into hash-log lines, ordered
-// by run then checkpoint — the stream the hashlog endpoint serves.
-func (jl *JobLog) HashLog() []HashLogLine {
+// HashLogSize is the byte length of the job's hash log as WriteHashLog
+// writes it. It fails when the store file no longer reaches the end of
+// every committed run, as when the file was truncated under the store.
+func (jl *JobLog) HashLogSize() (int64, error) {
+	fi, err := jl.store.f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("farm: job %s: %w", jl.ID, err)
+	}
+	var n int64
+	for _, run := range jl.CompletedRuns() {
+		sp := jl.runs[run]
+		if end := sp.off + sp.n; end > fi.Size() {
+			return 0, fmt.Errorf("farm: job %s run %d: the store file ends at byte %d, before the run's end at %d", jl.ID, run, fi.Size(), end)
+		}
+		n += sp.logLen
+	}
+	return n, nil
+}
+
+// WriteHashLog writes the job's committed runs as hash-log text, ordered by
+// run then checkpoint — the stream the hashlog endpoint serves. It reads
+// one run back at a time and writes HashLogSize bytes, unless a run fails
+// to read back.
+func (jl *JobLog) WriteHashLog(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	var b []byte
+	for _, run := range jl.CompletedRuns() {
+		rec, err := jl.Run(run)
+		if err != nil {
+			return err
+		}
+		for _, cp := range rec.Checkpoints {
+			b = append(appendHashLogFields(b[:0], run, cp), '\n')
+			if _, err := bw.Write(b); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// HashLog reads the job's hash log into lines, ordered by run then
+// checkpoint.
+func (jl *JobLog) HashLog() ([]HashLogLine, error) {
 	var out []HashLogLine
 	for _, run := range jl.CompletedRuns() {
-		for _, cp := range jl.runs[run].Checkpoints {
+		rec, err := jl.Run(run)
+		if err != nil {
+			return nil, err
+		}
+		for _, cp := range rec.Checkpoints {
 			out = append(out, HashLogLine{Run: run, Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Store is the append-only hash-log store plus its in-memory index. All
@@ -171,6 +241,7 @@ type Store struct {
 	path    string
 	f       *os.File
 	w       *bufio.Writer
+	size    int64  // bytes in the file: where the next line starts
 	buf     []byte // AppendRun's record text, reused across runs
 	jobs    map[JobID]*JobLog
 	order   []JobID
@@ -215,6 +286,9 @@ func OpenStore(path string) (*Store, error) {
 		}
 	} else {
 		err = s.terminateTornLine(end)
+	}
+	if err == nil {
+		s.size, err = f.Seek(0, io.SeekCurrent)
 	}
 	if err != nil {
 		f.Close()
@@ -262,34 +336,154 @@ type runKey struct {
 
 // load scans the log and rebuilds the index.
 func (s *Store) load() error {
-	open := make(map[runKey]*RunRecord)
-	sc := bufio.NewScanner(s.f)
+	open := make(map[runKey]*attempt)
+	return scanLines(s.f, func(line string, start, end int64) {
+		s.indexLine(line, start, end, open)
+	})
+}
+
+// scanLines calls fn with each line of r, without its line terminator,
+// and the offsets in r where the line starts and ends (terminator
+// included): lines end at '\n', lose their trailing '\r's, and a last
+// line without '\n' counts. eachLine frames a read-back run the same way.
+func scanLines(r io.Reader, fn func(line string, start, end int64)) error {
+	var start, end int64
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		start, end = end, end+int64(adv)
+		return adv, tok, err
+	})
 	for sc.Scan() {
-		s.indexLine(strings.TrimRight(sc.Text(), "\r"), open)
+		fn(strings.TrimRight(sc.Text(), "\r"), start, end)
 	}
 	return sc.Err()
 }
 
-// indexLine folds one log line into the index; open holds the run attempts
-// begun but not yet committed. Malformed lines are skipped: the only way
-// they arise is a crash mid-write, and their data is recomputed on resume.
-func (s *Store) indexLine(line string, open map[runKey]*RunRecord) {
+// eachLine calls fn with each line of text, framed as scanLines frames
+// the file.
+func eachLine(text string, fn func(line string)) {
+	for text != "" {
+		line, rest, _ := strings.Cut(text, "\n")
+		fn(strings.TrimRight(line, "\r"))
+		text = rest
+	}
+}
+
+// cutLine splits a log line into its kind, its job and the rest.
+func cutLine(line string) (kind string, id JobID, rest string, ok bool) {
+	kind, rest, ok1 := strings.Cut(line, " ")
+	job, rest, ok2 := strings.Cut(rest, " ")
+	return kind, JobID(job), rest, ok1 && ok2
+}
+
+// runLine is one parsed runstart, cp, out or runend line.
+type runLine struct {
+	kind string
+	run  int
+	cp   CheckpointRecord // a cp line's checkpoint
+	out  OutputRecord     // an out line's stream
+	ncp  int              // a runend line's checkpoint count
+}
+
+// parseRunLine parses what follows "<kind> <id> " on a run line. It
+// reports false for a malformed line and for any other kind of line.
+func parseRunLine(kind, rest string) (runLine, bool) {
+	l := runLine{kind: kind}
+	switch kind {
+	case "runstart":
+		run, err := strconv.Atoi(rest)
+		l.run = run
+		return l, err == nil
+	case "cp":
+		runF, rest, ok1 := strings.Cut(rest, " ")
+		ordF, rest, ok2 := strings.Cut(rest, " ")
+		shF, labelF, ok3 := strings.Cut(rest, " ")
+		if !ok1 || !ok2 || !ok3 {
+			return l, false
+		}
+		run, err1 := strconv.Atoi(runF)
+		ord, err2 := strconv.Atoi(ordF)
+		sh, err3 := strconv.ParseUint(shF, 16, 64)
+		label, err4 := strconv.Unquote(labelF)
+		l.run, l.cp = run, CheckpointRecord{Ordinal: ord, Label: label, SH: ihash.Digest(sh)}
+		return l, err1 == nil && err2 == nil && err3 == nil && err4 == nil
+	case "out":
+		f := strings.Fields(rest)
+		if len(f) != 4 {
+			return l, false
+		}
+		run, err1 := strconv.Atoi(f[0])
+		fd, err2 := strconv.Atoi(f[1])
+		hash, err3 := strconv.ParseUint(f[2], 16, 64)
+		n, err4 := strconv.ParseUint(f[3], 10, 64)
+		l.run, l.out = run, OutputRecord{FD: fd, Hash: hash, Bytes: n}
+		return l, err1 == nil && err2 == nil && err3 == nil && err4 == nil
+	case "runend":
+		f := strings.Fields(rest)
+		if len(f) != 2 {
+			return l, false
+		}
+		run, err1 := strconv.Atoi(f[0])
+		ncp, err2 := strconv.Atoi(f[1])
+		l.run, l.ncp = run, ncp
+		return l, err1 == nil && err2 == nil
+	}
+	return l, false
+}
+
+// attempt is one run's lines from its runstart line on. The loader counts
+// them; a read-back also keeps them in rec.
+type attempt struct {
+	start  int64 // offset of the runstart line
+	ncp    int
+	logLen int64
+	rec    *RunRecord
+	buf    []byte
+}
+
+// add folds in a cp, out or runend line of the attempt's run and reports
+// whether the line commits the run: a runend whose count matches.
+func (a *attempt) add(l runLine) bool {
+	switch l.kind {
+	case "cp":
+		a.ncp++
+		if a.rec != nil {
+			a.rec.Checkpoints = append(a.rec.Checkpoints, l.cp)
+		} else {
+			a.buf = appendHashLogFields(a.buf[:0], l.run, l.cp)
+			a.logLen += int64(len(a.buf)) + 1
+		}
+	case "out":
+		if a.rec != nil {
+			a.rec.Outputs = append(a.rec.Outputs, l.out)
+		}
+	case "runend":
+		return l.ncp == a.ncp
+	}
+	return false
+}
+
+// indexLine folds one log line, found at [start, end) in the file, into
+// the index; open holds the run attempts begun but not yet committed.
+// Malformed lines are skipped: the only way they arise is a crash
+// mid-write, and their data is recomputed on resume.
+func (s *Store) indexLine(line string, start, end int64, open map[runKey]*attempt) {
 	if line == "" || line == storeHeader {
 		return
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 3 {
+	kind, id, rest, ok := cutLine(line)
+	if !ok {
 		return
 	}
-	kind, id, rest := parts[0], JobID(parts[1]), parts[2]
 	if kind == "job" {
 		var spec JobSpec
 		if err := json.Unmarshal([]byte(rest), &spec); err != nil {
 			return
 		}
 		if _, ok := s.jobs[id]; !ok {
-			s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunRecord)}
+			s.jobs[id] = &JobLog{ID: id, Spec: spec, store: s, runs: make(map[int]runSpan)}
 			s.order = append(s.order, id)
 			if n, err := strconv.Atoi(strings.TrimPrefix(string(id), "j")); err == nil && n > s.maxID {
 				s.maxID = n
@@ -302,64 +496,6 @@ func (s *Store) indexLine(line string, open map[runKey]*RunRecord) {
 		return
 	}
 	switch kind {
-	case "runstart":
-		run, err := strconv.Atoi(rest)
-		if err != nil {
-			return
-		}
-		// A fresh attempt replaces any earlier attempt of the run.
-		delete(jl.runs, run)
-		open[runKey{id, run}] = &RunRecord{Run: run}
-	case "cp":
-		f := strings.SplitN(rest, " ", 4)
-		if len(f) != 4 {
-			return
-		}
-		run, err1 := strconv.Atoi(f[0])
-		ord, err2 := strconv.Atoi(f[1])
-		sh, err3 := strconv.ParseUint(f[2], 16, 64)
-		label, err4 := strconv.Unquote(f[3])
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return
-		}
-		rec := open[runKey{id, run}]
-		if rec == nil {
-			return
-		}
-		rec.Checkpoints = append(rec.Checkpoints, CheckpointRecord{Ordinal: ord, Label: label, SH: ihash.Digest(sh)})
-	case "out":
-		f := strings.Fields(rest)
-		if len(f) != 4 {
-			return
-		}
-		run, err1 := strconv.Atoi(f[0])
-		fd, err2 := strconv.Atoi(f[1])
-		hash, err3 := strconv.ParseUint(f[2], 16, 64)
-		bytes, err4 := strconv.ParseUint(f[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return
-		}
-		rec := open[runKey{id, run}]
-		if rec == nil {
-			return
-		}
-		rec.Outputs = append(rec.Outputs, OutputRecord{FD: fd, Hash: hash, Bytes: bytes})
-	case "runend":
-		f := strings.Fields(rest)
-		if len(f) != 2 {
-			return
-		}
-		run, err1 := strconv.Atoi(f[0])
-		ncp, err2 := strconv.Atoi(f[1])
-		if err1 != nil || err2 != nil {
-			return
-		}
-		rec := open[runKey{id, run}]
-		if rec == nil || len(rec.Checkpoints) != ncp {
-			return // commit marker without matching data: drop the run
-		}
-		delete(open, runKey{id, run})
-		jl.runs[run] = rec
 	case "explored":
 		var out ExploreOutcome
 		if err := json.Unmarshal([]byte(rest), &out); err != nil {
@@ -374,7 +510,60 @@ func (s *Store) indexLine(line string, open map[runKey]*RunRecord) {
 				jl.Err = msg
 			}
 		}
+	default:
+		l, ok := parseRunLine(kind, rest)
+		if !ok {
+			return
+		}
+		key := runKey{id, l.run}
+		if kind == "runstart" {
+			// A fresh attempt replaces any earlier attempt of the run.
+			delete(jl.runs, l.run)
+			open[key] = &attempt{start: start}
+			return
+		}
+		// A commit marker without matching data drops the run.
+		if a := open[key]; a != nil && a.add(l) {
+			delete(open, key)
+			jl.runs[l.run] = runSpan{off: a.start, n: end - a.start, ncp: a.ncp, logLen: a.logLen}
+		}
 	}
+}
+
+// readRun reads committed run run of job id back from its span, parsing
+// the span's lines as the loader did. A span that no longer parses as the
+// run it indexed, because the file was truncated or overwritten under the
+// store, is an error.
+func (s *Store) readRun(id JobID, run int, sp runSpan) (*RunRecord, error) {
+	var text strings.Builder
+	text.Grow(int(sp.n))
+	_, err := io.CopyN(&text, io.NewSectionReader(s.f, sp.off, sp.n), sp.n)
+	var a *attempt
+	committed := false
+	if err == nil {
+		eachLine(text.String(), func(line string) {
+			committed = false
+			kind, lid, rest, ok := cutLine(line)
+			if !ok || lid != id {
+				return
+			}
+			l, ok := parseRunLine(kind, rest)
+			switch {
+			case !ok || l.run != run:
+			case kind == "runstart":
+				a = &attempt{rec: &RunRecord{Run: run, Checkpoints: make([]CheckpointRecord, 0, sp.ncp)}}
+			case a != nil:
+				committed = a.add(l)
+			}
+		})
+	}
+	if err == nil && !committed {
+		err = fmt.Errorf("bytes %d to %d no longer hold the run", sp.off, sp.off+sp.n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("farm: job %s run %d: reading the committed record back: %w", id, run, err)
+	}
+	return a.rec, nil
 }
 
 // appendLine writes one line and flushes it to the file, where it survives
@@ -394,6 +583,7 @@ func (s *Store) appendLine(line []byte, durable bool) error {
 		if err := s.w.Flush(); err != nil {
 			return err
 		}
+		s.size += int64(len(line)) + 1
 		if !durable {
 			return nil
 		}
@@ -425,7 +615,7 @@ func (s *Store) BeginJob(id JobID, spec JobSpec) error {
 	if err := s.appendLine(fmt.Appendf(nil, "job %s %s", id, specJSON), true); err != nil {
 		return err
 	}
-	s.jobs[id] = &JobLog{ID: id, Spec: spec, runs: make(map[int]*RunRecord)}
+	s.jobs[id] = &JobLog{ID: id, Spec: spec, store: s, runs: make(map[int]runSpan)}
 	s.order = append(s.order, id)
 	return nil
 }
@@ -443,7 +633,9 @@ func (s *Store) BeginJob(id JobID, spec JobSpec) error {
 // re-dispatched shard and its zombie worker both append, the store keeps
 // one canonical record set. Content that DISAGREES with the committed run
 // is an error: runs are deterministic, so a conflict means a harness bug
-// (mismatched binaries or seeds), never a benign race.
+// (mismatched binaries or seeds), never a benign race. This comparison,
+// against the record read back from the log, is the one check a
+// duplicate gets.
 func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -452,18 +644,23 @@ func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 		return fmt.Errorf("farm: job %s not in store", id)
 	}
 	rec := NewRunRecord(run, res)
-	if prev := jl.runs[run]; prev != nil {
+	if sp, ok := jl.runs[run]; ok {
+		prev, err := s.readRun(id, run, sp)
+		if err != nil {
+			return err
+		}
 		if err := prev.Diff(rec); err != nil {
 			return fmt.Errorf("farm: job %s run %d: duplicate append disagrees with committed record: %w", id, run, err)
 		}
 		return nil
 	}
+	var logLen int64
 	b := appendRunKey(append(s.buf[:0], "runstart "...), id, run)
 	for _, cp := range rec.Checkpoints {
-		b = appendRunKey(append(b, "\ncp "...), id, run)
-		b = strconv.AppendInt(append(b, ' '), int64(cp.Ordinal), 10)
-		b = appendHex16(append(b, ' '), uint64(cp.SH))
-		b = strconv.AppendQuote(append(b, ' '), cp.Label)
+		b = append(append(append(b, "\ncp "...), id...), ' ')
+		n := len(b)
+		b = appendHashLogFields(b, run, cp)
+		logLen += int64(len(b)-n) + 1
 	}
 	for _, o := range rec.Outputs {
 		b = appendRunKey(append(b, "\nout "...), id, run)
@@ -474,16 +671,26 @@ func (s *Store) AppendRun(id JobID, run int, res *sim.Result) error {
 	b = appendRunKey(append(b, "\nrunend "...), id, run)
 	b = strconv.AppendInt(append(b, ' '), int64(len(rec.Checkpoints)), 10)
 	s.buf = b
+	off := s.size
 	if err := s.appendLine(b, jl.Spec.Kind != "explore"); err != nil {
 		return err
 	}
-	jl.runs[run] = &rec
+	jl.runs[run] = runSpan{off: off, n: int64(len(b)) + 1, ncp: len(rec.Checkpoints), logLen: logLen}
 	return nil
 }
 
 // appendRunKey appends "<id> <run>", the key every run line starts with.
 func appendRunKey(b []byte, id JobID, run int) []byte {
 	return strconv.AppendInt(append(append(b, id...), ' '), int64(run), 10)
+}
+
+// appendHashLogFields appends "<run> <ordinal> <sh-hex> <quoted-label>",
+// one checkpoint as both a hash-log line and a store cp line carry it.
+func appendHashLogFields(b []byte, run int, cp CheckpointRecord) []byte {
+	b = strconv.AppendInt(b, int64(run), 10)
+	b = strconv.AppendInt(append(b, ' '), int64(cp.Ordinal), 10)
+	b = appendHex16(append(b, ' '), uint64(cp.SH))
+	return strconv.AppendQuote(append(b, ' '), cp.Label)
 }
 
 // appendHex16 appends v as 16 lowercase hex digits, as "%016x" formats it.
@@ -562,8 +769,7 @@ func (s *Store) Jobs() []*JobLog {
 	return out
 }
 
-// clone copies the job's index entry. Committed records are never
-// modified, so the copy shares them.
+// clone copies the job's index entry.
 func (jl *JobLog) clone() *JobLog {
 	c := *jl
 	if jl.Explore != nil {

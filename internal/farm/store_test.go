@@ -2,11 +2,17 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -28,8 +34,9 @@ func testResult(base uint64, ncp int) *sim.Result {
 	return res
 }
 
-// TestStoreRoundTrip checks that appended jobs and runs come back intact
-// from a fresh Open of the same file.
+// TestStoreRoundTrip checks that appended jobs and runs come back intact:
+// every committed record reads back equal to the appended one, both from
+// the live store and after a fresh Open of the same file.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "farm.log")
 	s, err := OpenStore(path)
@@ -44,17 +51,41 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := s.BeginJob(id, spec); err != nil {
 		t.Fatal(err)
 	}
+	var appended []RunRecord
 	for run := 0; run < 3; run++ {
-		if err := s.AppendRun(id, run, testResult(uint64(1000*run), 2+run)); err != nil {
+		res := testResult(uint64(1000*run), 2+run)
+		if err := s.AppendRun(id, run, res); err != nil {
 			t.Fatal(err)
 		}
+		appended = append(appended, NewRunRecord(run, res))
 	}
 	if err := s.EndJob(id, "done", ""); err != nil {
 		t.Fatal(err)
 	}
+	checkRecords := func(when string, jl *JobLog) {
+		t.Helper()
+		if got := jl.CompletedRuns(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+			t.Errorf("%s: completed runs %v", when, got)
+		}
+		for _, want := range appended {
+			got, err := jl.Run(want.Run)
+			if err != nil {
+				t.Errorf("%s: %v", when, err)
+			} else if !reflect.DeepEqual(*got, want) {
+				t.Errorf("%s: run %d reads back as\n%+v\nwant %+v", when, want.Run, *got, want)
+			}
+		}
+		if _, err := jl.Run(3); err == nil {
+			t.Errorf("%s: uncommitted run 3 read back", when)
+		}
+	}
 	before := s.Job(id)
+	checkRecords("live store", before)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := before.Run(0); err == nil {
+		t.Error("run read back from a closed store")
 	}
 
 	s2, err := OpenStore(path)
@@ -66,26 +97,127 @@ func TestStoreRoundTrip(t *testing.T) {
 	if after == nil {
 		t.Fatal("job lost on reload")
 	}
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("reload mismatch:\nbefore %+v\nafter  %+v", before, after)
-	}
-	if after.Final != "done" || !reflect.DeepEqual(after.Spec, spec) {
-		t.Errorf("final=%q spec=%+v", after.Final, after.Spec)
-	}
-	if got := after.CompletedRuns(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("completed runs %v", got)
-	}
-	if rl := after.Run(1); len(rl.Checkpoints) != 3 || rl.Checkpoints[0].SH != 1000 {
-		t.Errorf("run 1 = %+v", rl)
+	checkRecords("reopened store", after)
+	if after.ID != before.ID || after.Final != "done" || after.Err != "" || after.Explore != nil || !reflect.DeepEqual(after.Spec, spec) {
+		t.Errorf("reload: id=%s final=%q err=%q explore=%v spec=%+v", after.ID, after.Final, after.Err, after.Explore, after.Spec)
 	}
 	// IDs continue after the stored maximum.
 	if next := s2.NextID(); next != "j000002" {
 		t.Errorf("next id after reload = %s", next)
 	}
 	// Reconstructed results carry the hash-level fields.
-	res := after.Run(0).Result()
-	if res.Outputs[1].Hash != 0xabc || res.OutputBytes != 64 {
+	rec, err := after.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rec.Result(); res.Outputs[1].Hash != 0xabc || res.OutputBytes != 64 {
 		t.Errorf("output reconstruction: %+v", res.Outputs)
+	}
+}
+
+// TestReadBackAfterTruncation truncates the log under a live store, then
+// overwrites a run's first line: a committed run whose bytes no longer
+// parse as the run is an error, naming the job and the run, on every path
+// that reads one back, and never a panic. The hashlog endpoint answers a
+// truncated run with 500; an overwritten one, found only as the log
+// streams, ends the body short of its declared length.
+func TestReadBackAfterTruncation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "farm.log")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := smokeSpec("radix", "mix64")
+	id := s.NextID()
+	if err := s.BeginJob(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	last := spec.Runs - 1
+	var lastRes *sim.Result
+	_, _, err = runJob(bg, id, spec, nil, nil, nil, 1, func(run int, res *sim.Result) error {
+		if run == last {
+			lastRes = res
+		}
+		return s.AppendRun(id, run, res)
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EndJob(id, "done", ""); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(NewServer(s, Options{}).Handler())
+	defer hs.Close()
+	c := NewClient(hs.URL)
+	if _, err := c.HashLog(bg, id); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut the file inside the last run's runend line.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runend := strings.LastIndex(string(data), fmt.Sprintf("runend %s %d ", id, last))
+	if err := os.Truncate(path, int64(runend+5)); err != nil {
+		t.Fatal(err)
+	}
+	names := func(what string, err error, run int) {
+		t.Helper()
+		want := fmt.Sprintf("job %s run %d", id, run)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %s", what, err, want)
+		}
+	}
+	jl := s.Job(id)
+	if _, err := jl.Run(last - 1); err != nil {
+		t.Errorf("intact run %d: %v", last-1, err)
+	}
+	_, err = jl.Run(last)
+	names("Run", err, last)
+	_, err = jl.HashLog()
+	names("HashLog", err, last)
+	names("WriteHashLog", jl.WriteHashLog(io.Discard), last)
+	_, err = reportFromLog(jl)
+	names("reportFromLog", err, last)
+	_, _, err = runJob(bg, id, spec, jl, nil, nil, 1, nil, nil)
+	names("resume", err, last)
+	names("duplicate append", s.AppendRun(id, last, lastRes), last)
+	resp, err := http.Get(hs.URL + "/api/v1/jobs/" + string(id) + "/hashlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("hashlog of a truncated run: %s, want 500", resp.Status)
+	}
+	_, err = c.HashLog(bg, id)
+	names("GET hashlog", err, last)
+	srv := NewServer(s, Options{})
+	srv.Resume()
+	if job := srv.Job(id); job.State != JobFailed {
+		t.Errorf("resumed job %s, want failed", job.State)
+	} else {
+		names("Server.Resume", errors.New(job.Error), last)
+	}
+
+	// Overwrite run 1's runstart line in place.
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte("XXXXXXXX"), int64(strings.Index(string(data), fmt.Sprintf("runstart %s 1\n", id))))
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = jl.Run(1)
+	names("Run after overwrite", err, 1)
+	_, err = reportFromLog(jl)
+	names("reportFromLog after overwrite", err, 1)
+	if _, err := c.HashLog(bg, id); err == nil {
+		t.Error("hash log with an overwritten run fetched")
 	}
 }
 
@@ -172,8 +304,8 @@ func TestStoreCrashTolerance(t *testing.T) {
 	if got := jl.CompletedRuns(); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("completed runs after recommit = %v", got)
 	}
-	if rl := jl.Run(1); rl.Checkpoints[0].SH != 20 {
-		t.Errorf("stale partial survived: %+v", rl.Checkpoints)
+	if rl, err := jl.Run(1); err != nil || rl.Checkpoints[0].SH != 20 {
+		t.Errorf("stale partial survived: %+v, %v", rl, err)
 	}
 }
 
@@ -216,8 +348,8 @@ func TestStoreTornHeader(t *testing.T) {
 	if got := jl.CompletedRuns(); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("completed runs after reload = %v", got)
 	}
-	if rl := jl.Run(0); len(rl.Checkpoints) != 2 || rl.Checkpoints[0].SH != 10 {
-		t.Errorf("run 0 after reload = %+v", rl)
+	if rl, err := jl.Run(0); err != nil || len(rl.Checkpoints) != 2 || rl.Checkpoints[0].SH != 10 {
+		t.Errorf("run 0 after reload = %+v, %v", rl, err)
 	}
 }
 
@@ -351,4 +483,83 @@ func TestCompareHashLogs(t *testing.T) {
 	if res.First.Run != 1 || res.First.B != missingSide || !reflect.DeepEqual(res.OnlyA, []int{1}) {
 		t.Errorf("missing-run divergence = %+v only_a=%v", res.First, res.OnlyA)
 	}
+}
+
+// FuzzStoreReload opens arbitrary bytes as a store file. Every run the
+// loader commits must read back, every job's hash log must be served whole
+// (200, a body of exactly its declared Content-Length), and reassembling
+// the finished jobs, as a restarted daemon does, may fail a job but must
+// not panic. Seeded with a small recorded check job, a small explore job
+// and the store written before JobSpec lost its store_buffer_words field.
+func FuzzStoreReload(f *testing.F) {
+	for _, spec := range []JobSpec{
+		{App: "radix", Runs: 3, Threads: 2, Small: true},
+		{App: "radix", Kind: "explore", Runs: 3, Threads: 2, Small: true},
+	} {
+		path := filepath.Join(f.TempDir(), "farm.log")
+		s, err := OpenStore(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		id := s.NextID()
+		if err := s.BeginJob(id, spec); err != nil {
+			f.Fatal(err)
+		}
+		if spec.Kind == "explore" {
+			_, err = runExploreJob(bg, id, spec, s, nil, nil)
+		} else {
+			_, _, err = runJob(bg, id, spec, nil, nil, nil, 1, func(run int, res *sim.Result) error {
+				return s.AppendRun(id, run, res)
+			}, nil)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.EndJob(id, "done", ""); err != nil {
+			f.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	legacy, err := os.ReadFile("testdata/store_buffer_words.log")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "farm.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(path)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		srv := NewServer(s, Options{})
+		h := srv.Handler()
+		for _, jl := range s.Jobs() {
+			for _, run := range jl.CompletedRuns() {
+				if _, err := jl.Run(run); err != nil {
+					t.Fatalf("committed on load but does not read back: %v", err)
+				}
+			}
+			seg := url.PathEscape(string(jl.ID))
+			if seg == "" || seg == "." || seg == ".." {
+				continue // the mux cleans such a path before routing it
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+seg+"/hashlog", nil))
+			if declared := rec.Header().Get("Content-Length"); rec.Code != http.StatusOK || declared != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("job %q hashlog: %d, Content-Length %s, %d body bytes: %s", jl.ID, rec.Code, declared, rec.Body.Len(), rec.Body)
+			}
+		}
+		srv.Resume()
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -52,14 +53,15 @@ type campaign struct {
 	shards [][]int
 	// outstanding holds run indices not yet claimed by an accepted result.
 	outstanding map[int]bool
-	// claimed holds each claimed run's result: the one delivered, which
-	// runJob holds anyway. Runs are deterministic, so a later record for
-	// the run that differs from it fails the campaign.
-	claimed map[int]*sim.Result
-	// inflight counts claimed runs whose delivery to the farm has not
-	// returned yet; the campaign completes only when both outstanding and
-	// inflight reach zero, so Dispatch never wakes before every accepted
-	// result has actually hit the store.
+	// claimed holds the claimed run indices. A later record for a claimed
+	// run is delivered too: the farm's store compares it with the
+	// committed record, and a difference fails the campaign.
+	claimed map[int]bool
+	// inflight counts deliveries to the farm that have not returned yet,
+	// of claims and of later records alike; the campaign completes only
+	// when both outstanding and inflight reach zero, so Dispatch never
+	// wakes before every accepted result has hit the store and every
+	// duplicate has been compared.
 	inflight int
 	deliver  func(run int, res *sim.Result) error
 	failed   error
@@ -197,7 +199,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, id farm.JobID, spec farm.Job
 		digest:      digest,
 		shards:      farm.PlanShards(need, c.opts.ShardSize),
 		outstanding: make(map[int]bool, len(need)),
-		claimed:     make(map[int]*sim.Result, len(need)),
+		claimed:     make(map[int]bool, len(need)),
 		deliver:     deliver,
 		done:        make(chan struct{}),
 	}
@@ -371,10 +373,11 @@ func (c *Coordinator) heartbeat(leaseID, worker string) bool {
 }
 
 // acceptResults folds one batch of worker results into the campaign. Every
-// record is judged by (job, run) alone, not by lease, so a zombie worker's
-// late results still count; a record for a claimed run is compared with it
-// and dropped, and one that differs fails the campaign. Returns the number
-// of newly delivered runs and whether the worker should keep executing.
+// record is judged by (job, run), not by lease, so a zombie worker's late
+// results still count; a record for a claimed run is delivered as well,
+// and the store compares it with the committed record, so one that
+// differs fails the campaign. Returns the number of newly claimed runs and
+// whether the worker should keep executing.
 func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bool) {
 	now := time.Now()
 	c.mu.Lock()
@@ -390,55 +393,50 @@ func (c *Coordinator) acceptResults(req *resultsRequest, bodyBytes int) (int, bo
 		l.deadline = now.Add(c.opts.LeaseTTL) // a result batch renews like a heartbeat
 	}
 	camp := c.campaigns[req.Job]
-	// Claim the fresh runs under the lock; deliver them outside it (the
-	// store append fsyncs — too slow to serialize every worker behind).
-	type claim struct {
-		run int
-		res *sim.Result
+	// Pick the records to deliver under the lock; deliver them outside it
+	// (the store append fsyncs — too slow to serialize every worker
+	// behind).
+	type delivery struct {
+		rec   farm.RunRecord
+		fresh bool
 	}
-	var fresh []claim
-	var failure error
+	var deliveries []delivery
 	for _, rec := range req.Records {
-		if camp != nil && camp.failed == nil && camp.outstanding[rec.Run] {
+		open := camp != nil && !camp.closed
+		switch {
+		case open && camp.outstanding[rec.Run]:
 			delete(camp.outstanding, rec.Run)
-			res := rec.Result()
-			camp.claimed[rec.Run] = res
-			fresh = append(fresh, claim{rec.Run, res})
-			continue
-		}
-		c.m.appendDuplicates.Inc()
-		if camp == nil || failure != nil {
-			continue // the job no longer dispatches, or this batch already disagreed
-		}
-		if res, ok := camp.claimed[rec.Run]; ok {
-			if err := farm.NewRunRecord(rec.Run, res).Diff(rec); err != nil {
-				failure = fmt.Errorf("fleet: job %s run %d: worker %s sent a record that disagrees with the claimed one: %w",
-					req.Job, rec.Run, req.Worker, err)
-			}
+			camp.claimed[rec.Run] = true
+			deliveries = append(deliveries, delivery{rec, true})
+		case open && camp.claimed[rec.Run]:
+			c.m.appendDuplicates.Inc()
+			deliveries = append(deliveries, delivery{rec, false})
+		default:
+			c.m.appendDuplicates.Inc() // the job no longer dispatches, or never asked for the run
 		}
 	}
 	if camp != nil {
-		camp.inflight += len(fresh)
+		camp.inflight += len(deliveries)
 	}
 	c.mu.Unlock()
 
 	accepted := 0
-	for _, cl := range fresh {
-		if failure != nil {
+	var failure error
+	for _, d := range deliveries {
+		if err := camp.deliver(d.rec.Run, d.rec.Result()); err != nil {
+			failure = fmt.Errorf("fleet: job %s run %d from worker %s: %w", req.Job, d.rec.Run, req.Worker, err)
 			break
 		}
-		if err := camp.deliver(cl.run, cl.res); err != nil {
-			failure = fmt.Errorf("fleet: job %s run %d: %w", req.Job, cl.run, err)
-			break
+		if d.fresh {
+			accepted++
+			c.m.appendRecords.Inc()
 		}
-		accepted++
-		c.m.appendRecords.Inc()
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if camp != nil {
-		camp.inflight -= len(fresh)
+		camp.inflight -= len(deliveries)
 	}
 	if failure == nil && req.Error != "" && camp != nil && !camp.closed {
 		failure = fmt.Errorf("fleet: job %s: worker %s cannot execute lease %s: %s", req.Job, req.Worker, req.LeaseID, req.Error)
@@ -534,6 +532,7 @@ func (c *Coordinator) Handler() http.Handler {
 		c.m.blobServeBytes.Add(uint64(len(data)))
 		// The stored bytes, not re-encoded: the digest names them.
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data)
 	})
 	return mux

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -162,7 +163,9 @@ func TestCoordinatorProtocol(t *testing.T) {
 	if accepted != 4 || !ok {
 		t.Fatalf("first batch: accepted=%d leaseOK=%v, want 4 true", accepted, ok)
 	}
-	// The identical batch again: a zombie re-post. Nothing double-delivers.
+	// The identical batch again: a zombie re-post. Each record reaches
+	// deliver once more, where the store compares it with the committed
+	// one, and none is accepted.
 	accepted, _ = c.acceptResults(req, 100)
 	if accepted != 0 {
 		t.Fatalf("duplicate batch accepted %d records", accepted)
@@ -170,9 +173,12 @@ func TestCoordinatorProtocol(t *testing.T) {
 	if got := c.m.appendDuplicates.Value(); got != 4 {
 		t.Fatalf("appendback duplicates = %d, want 4", got)
 	}
-	for run, n := range delivered {
-		if n != 1 {
-			t.Fatalf("run %d delivered %d times", run, n)
+	if got := c.m.appendRecords.Value(); got != 4 {
+		t.Fatalf("appendback records = %d, want 4", got)
+	}
+	for _, run := range li.Runs {
+		if n := delivered[run]; n != 2 {
+			t.Fatalf("run %d delivered %d times, want the claim and the duplicate", run, n)
 		}
 	}
 
@@ -246,16 +252,27 @@ func firstLease(t *testing.T, c *Coordinator, worker string) *LeaseInfo {
 }
 
 // TestDisagreeingDuplicateFailsJob: a record for an already claimed run is
-// compared with the claimed one. An identical copy is counted and dropped;
-// a copy with one SH bit flipped, from another worker, fails Dispatch with
-// an error naming the run and that worker.
+// delivered, and the store it commits to compares it with the committed
+// record, after the claim's own delivery has returned. An identical copy
+// is counted and dropped; a copy with one SH bit flipped, from another
+// worker, fails Dispatch with an error naming the run and that worker.
 func TestDisagreeingDuplicateFailsJob(t *testing.T) {
 	spec := fleetSpec("fft", 4)
 	_, runner, need := recordedRunner(t, spec)
+	store, err := farm.OpenStore(filepath.Join(t.TempDir(), "farm.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.BeginJob("j000001", spec); err != nil {
+		t.Fatal(err)
+	}
 	c := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Minute})
 	dispatchErr := make(chan error, 1)
 	go func() {
-		dispatchErr <- c.Dispatch(bg, "j000001", spec, runner, need, func(int, *sim.Result) error { return nil })
+		dispatchErr <- c.Dispatch(bg, "j000001", spec, runner, need, func(run int, res *sim.Result) error {
+			return store.AppendRun("j000001", run, res)
+		})
 	}()
 	li := firstLease(t, c, "wA")
 	run := li.Runs[0]
@@ -507,9 +524,10 @@ func TestLostLeaseEndsShard(t *testing.T) {
 // and results endpoints, and asks the blob endpoint for arbitrary digests,
 // on a coordinator with one registered campaign: job j000001, whose run 1 is
 // claimed and runs 2 and 3 outstanding, so a results body can reach the
-// claim and duplicate-compare paths, and one naming another job the
+// claim and duplicate-delivery paths, and one naming another job the
 // no-campaign path. chunked sends the body without a declared length.
-// Every answer must be 200, 400, 404, 411 or 413.
+// Every answer must be 200, 400, 404, 411 or 413, and a served bundle
+// must declare its length.
 func FuzzCoordinatorEndpoints(f *testing.F) {
 	bundle := []byte(`{"program":"fft","addr":[],"env":[]}`)
 	claimed := farm.RunRecord{Run: 1, Checkpoints: []farm.CheckpointRecord{{Ordinal: 0, Label: "end", SH: 0x1234}}}
@@ -530,7 +548,7 @@ func FuzzCoordinatorEndpoints(f *testing.F) {
 			digest:      replay.DigestBytes(bundle),
 			shards:      [][]int{{2, 3}},
 			outstanding: map[int]bool{2: true, 3: true},
-			claimed:     map[int]*sim.Result{1: claimed.Result()},
+			claimed:     map[int]bool{1: true},
 			deliver:     func(int, *sim.Result) error { return nil },
 			done:        make(chan struct{}),
 		}
@@ -560,6 +578,11 @@ func FuzzCoordinatorEndpoints(f *testing.F) {
 		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusLengthRequired, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("%s %s answered %d: %s", req.Method, req.URL.Path, rec.Code, rec.Body)
+		}
+		// A served bundle declares its length, so a worker reads it into
+		// one buffer.
+		if req.Method == http.MethodGet && rec.Code == http.StatusOK && rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("blob of %d bytes served with Content-Length %q", rec.Body.Len(), rec.Header().Get("Content-Length"))
 		}
 	})
 }
@@ -809,10 +832,14 @@ func TestFleetWorkerKillConvergence(t *testing.T) {
 	}
 	kill()
 
+	stopPolling := pollHashLog(t, d.srv.Handler(), job.ID)
 	for _, name := range []string{"w1", "w2", "w3"} {
 		d.addWorker(t, ctx, WorkerOptions{Name: name})
 	}
 	job = d.waitJob(t, job.ID)
+	if n := stopPolling(); n == 0 {
+		t.Error("no hash log was fetched while the job ran")
+	}
 	if job.State != farm.JobDone || job.Error != "" {
 		t.Fatalf("fleet job finished as %s: %s", job.State, job.Error)
 	}
@@ -833,6 +860,36 @@ func TestFleetWorkerKillConvergence(t *testing.T) {
 	}
 	if want := singleNodeReport(t, spec); !bytes.Equal(got, want) {
 		t.Errorf("post-kill fleet report differs from single-node:\nfleet  %s\nsingle %s", got, want)
+	}
+}
+
+// pollHashLog GETs a job's hash log from the farm's handler until the
+// returned stop is called, which reports how many it fetched. Every answer
+// must be 200 with a body of exactly its declared length that parses.
+func pollHashLog(t *testing.T, h http.Handler, id farm.JobID) (stop func() int) {
+	quit, fetched := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-quit:
+				fetched <- n
+				return
+			case <-time.After(time.Millisecond):
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+string(id)+"/hashlog", nil))
+			if declared := rec.Header().Get("Content-Length"); rec.Code != http.StatusOK || declared != strconv.Itoa(rec.Body.Len()) {
+				t.Errorf("hashlog mid-job: %d, Content-Length %s, %d body bytes", rec.Code, declared, rec.Body.Len())
+			} else if _, err := farm.ParseHashLog(rec.Body); err != nil {
+				t.Errorf("hashlog mid-job: %v", err)
+			}
+			n++
+		}
+	}()
+	return func() int {
+		close(quit)
+		return <-fetched
 	}
 }
 
