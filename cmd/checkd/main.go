@@ -27,7 +27,6 @@
 //	DELETE /api/v1/jobs/{id}         cancel
 //	GET    /api/v1/jobs/{id}/report  finished campaign's report
 //	GET    /api/v1/jobs/{id}/hashlog per-checkpoint hash stream (text)
-//	POST   /api/v1/compare           diff two hash logs
 //	GET    /healthz                  liveness + queue summary (JSON)
 //	GET    /metrics                  Prometheus text exposition
 //	GET    /debug/pprof/...          Go profiling (only with -pprof)

@@ -112,6 +112,7 @@ func TestOutOfRangeSpecsRejected(t *testing.T) {
 		`{"app":"waterSP","kind":"explore","strategy":"pct","pct_depth":-1}`,
 		`{"app":"fft","runs":1125899906842624}`,
 		`{"app":"fft","threads":1099511627776}`,
+		`{"app":"fft","switch_interval":4611686018427387904}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -6,6 +6,7 @@
 //
 //	instantcheck list                     # the 17 workloads
 //	instantcheck check <app> [flags]      # characterize one workload
+//	instantcheck races <app> [flags]      # §6.1: classify its data races
 //	instantcheck table1 [flags]           # Table 1: determinism characteristics
 //	instantcheck table2 [flags]           # Table 2: seeded-bug detection
 //	instantcheck fig5   [flags]           # Figure 5: nondeterminism distributions

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -120,32 +121,7 @@ verbs:
 		fmt.Print(text)
 		return nil
 	case "compare":
-		if len(rest) != 2 {
-			return fmt.Errorf("remote compare: want two sides (job id or @file)")
-		}
-		req := farm.CompareRequest{}
-		var err error
-		if req.JobA, req.LogA, err = compareSideArg(rest[0]); err != nil {
-			return err
-		}
-		if req.JobB, req.LogB, err = compareSideArg(rest[1]); err != nil {
-			return err
-		}
-		res, err := c.Compare(ctx, req)
-		if err != nil {
-			return err
-		}
-		if res.Equal {
-			fmt.Printf("equal: %d runs, hash-identical\n", res.RunsCompared)
-			return nil
-		}
-		fmt.Printf("DIFFER: %d/%d compared runs diverge (a has %d runs, b has %d)\n",
-			len(res.DifferingRuns), res.RunsCompared, res.RunsA, res.RunsB)
-		if res.First != nil {
-			fmt.Printf("first divergence: run %d checkpoint %d (%s): %s vs %s\n",
-				res.First.Run+1, res.First.Ordinal, res.First.Label, res.First.A, res.First.B)
-		}
-		return nil
+		return remoteCompare(ctx, c, rest, os.Stdout)
 	case "stats":
 		return remoteStats(ctx, c, rest, os.Stdout)
 	case "cancel":
@@ -168,17 +144,59 @@ verbs:
 	}
 }
 
-// compareSideArg maps a CLI compare operand to one side of the request:
-// "@path" loads a saved hash log, anything else names a job on the daemon.
-func compareSideArg(arg string) (farm.JobID, string, error) {
-	if path, ok := strings.CutPrefix(arg, "@"); ok {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return "", "", err
-		}
-		return "", string(b), nil
+// remoteCompare diffs two hash logs here, not on the daemon, and prints
+// the answer to w. Each side is a job, whose log is fetched, or "@path", a
+// saved log (e.g. from another host).
+func remoteCompare(ctx context.Context, c *farm.Client, args []string, w io.Writer) error {
+	if len(args) != 2 {
+		return fmt.Errorf("remote compare: want two sides (job id or @file)")
 	}
-	return farm.JobID(arg), "", nil
+	var sides [2][]farm.HashLogLine
+	for i, arg := range args {
+		var err error
+		if sides[i], err = compareSide(ctx, c, arg); err != nil {
+			return fmt.Errorf("remote compare: side %c (%s): %w", 'a'+i, arg, err)
+		}
+	}
+	res := farm.CompareHashLogs(sides[0], sides[1])
+	if res.Equal {
+		fmt.Fprintf(w, "equal: %d runs, hash-identical\n", res.RunsCompared)
+		return nil
+	}
+	// DifferingRuns also lists the runs one log lacks, which were never
+	// compared.
+	fmt.Fprintf(w, "DIFFER: %d/%d compared runs diverge",
+		len(res.DifferingRuns)-len(res.OnlyA)-len(res.OnlyB), res.RunsCompared)
+	if len(res.OnlyA) > 0 {
+		fmt.Fprintf(w, ", %d runs in a only", len(res.OnlyA))
+	}
+	if len(res.OnlyB) > 0 {
+		fmt.Fprintf(w, ", %d runs in b only", len(res.OnlyB))
+	}
+	fmt.Fprintf(w, " (a has %d runs, b has %d)\n", res.RunsA, res.RunsB)
+	if res.First != nil {
+		fmt.Fprintf(w, "first divergence: run %d checkpoint %d (%s): %s vs %s\n",
+			res.First.Run+1, res.First.Ordinal, res.First.Label, res.First.A, res.First.B)
+	}
+	return nil
+}
+
+// compareSide reads one side of a compare: "@path" parses a saved hash
+// log, anything else fetches the named job's.
+func compareSide(ctx context.Context, c *farm.Client, arg string) ([]farm.HashLogLine, error) {
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return farm.ParseHashLog(f)
+	}
+	text, err := c.HashLog(ctx, farm.JobID(arg))
+	if err != nil {
+		return nil, err
+	}
+	return farm.ParseHashLog(strings.NewReader(text))
 }
 
 func remoteSubmit(ctx context.Context, c *farm.Client, args []string) error {

@@ -165,10 +165,11 @@ func TestRemoteStatsRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRemoteStatsLiveDaemon renders stats from a real farm.Server's
-// /metrics, so renaming a metric family a summary line reads fails here
-// instead of silently dropping the line.
-func TestRemoteStatsLiveDaemon(t *testing.T) {
+// liveDaemon serves a real farm.Server over a store in a temporary
+// directory, runs each spec on it to completion and returns a client and
+// the finished jobs' ids.
+func liveDaemon(t *testing.T, specs ...farm.JobSpec) (context.Context, *farm.Client, []farm.JobID) {
+	t.Helper()
 	store, err := farm.OpenStore(filepath.Join(t.TempDir(), "farm.log"))
 	if err != nil {
 		t.Fatal(err)
@@ -185,12 +186,8 @@ func TestRemoteStatsLiveDaemon(t *testing.T) {
 	})
 	c := farm.NewClient(hs.URL)
 
-	for _, spec := range []farm.JobSpec{
-		{App: "fft", Scheme: "hwinc", Runs: 3, Threads: 4, Small: true},
-		{App: "fft", Scheme: "swtr", Runs: 3, Threads: 4, Small: true},
-		{App: "waterSP", Kind: "explore", Strategy: "race-directed", Bug: "atomicity",
-			Runs: 4, Threads: 4, InputSeed: 1, RoundFP: true, Small: true},
-	} {
+	var ids []farm.JobID
+	for _, spec := range specs {
 		job, err := c.Submit(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +195,21 @@ func TestRemoteStatsLiveDaemon(t *testing.T) {
 		if job, err = c.Wait(ctx, job.ID, 10*time.Millisecond); err != nil || job.State != farm.JobDone {
 			t.Fatalf("%s %s job: %v %+v", spec.App, spec.Kind, err, job)
 		}
+		ids = append(ids, job.ID)
 	}
+	return ctx, c, ids
+}
+
+// TestRemoteStatsLiveDaemon renders stats from a real farm.Server's
+// /metrics, so renaming a metric family a summary line reads fails here
+// instead of silently dropping the line.
+func TestRemoteStatsLiveDaemon(t *testing.T) {
+	ctx, c, _ := liveDaemon(t,
+		farm.JobSpec{App: "fft", Scheme: "hwinc", Runs: 3, Threads: 4, Small: true},
+		farm.JobSpec{App: "fft", Scheme: "swtr", Runs: 3, Threads: 4, Small: true},
+		farm.JobSpec{App: "waterSP", Kind: "explore", Strategy: "race-directed", Bug: "atomicity",
+			Runs: 4, Threads: 4, InputSeed: 1, RoundFP: true, Small: true},
+	)
 
 	var out bytes.Buffer
 	if err := remoteStats(ctx, c, nil, &out); err != nil {

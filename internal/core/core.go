@@ -43,7 +43,7 @@ type Campaign struct {
 	// InputSeed fixes the program input (env-call record stream).
 	InputSeed int64
 	// SwitchInterval is the scheduler's mean preemption interval
-	// (<= 0 selects the default).
+	// (<= 0 selects the default), at most MaxSwitchInterval.
 	SwitchInterval int
 	// Scheme selects the hashing scheme (default HWInc).
 	Scheme sim.Scheme
@@ -62,6 +62,12 @@ type Campaign struct {
 	SnapshotDifferingRuns bool
 }
 
+// MaxSwitchInterval bounds Campaign.SwitchInterval. The scheduler draws
+// each switch budget on [1, 2*interval], a bound that overflows int from
+// 2^62 on; this one sits far above the largest interval in use (20000, the
+// radix order-bug hunts) and keeps 2*interval within a 32-bit int.
+const MaxSwitchInterval = 1 << 24
+
 // withDefaults fills zero fields with the paper's defaults and rejects
 // configurations that are nonsensical rather than merely unset.
 func (c Campaign) withDefaults() (Campaign, error) {
@@ -76,6 +82,9 @@ func (c Campaign) withDefaults() (Campaign, error) {
 	}
 	if c.Threads < 0 {
 		return c, fmt.Errorf("core: campaign Threads = %d; want > 0", c.Threads)
+	}
+	if c.SwitchInterval > MaxSwitchInterval {
+		return c, fmt.Errorf("core: campaign SwitchInterval = %d; want at most %d", c.SwitchInterval, MaxSwitchInterval)
 	}
 	if c.Scheme == sim.Native {
 		c.Scheme = sim.HWInc

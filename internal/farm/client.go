@@ -151,19 +151,10 @@ func (c *Client) Report(ctx context.Context, id JobID) (*Report, error) {
 }
 
 // HashLog fetches a job's per-checkpoint hash stream in the canonical
-// text form — the unit of cross-host comparison.
+// text form — the unit of cross-host comparison, which the caller diffs
+// with ParseHashLog and CompareHashLogs.
 func (c *Client) HashLog(ctx context.Context, id JobID) (string, error) {
 	return c.Text(ctx, "/api/v1/jobs/"+string(id)+"/hashlog")
-}
-
-// Compare diffs two hash logs (jobs on the daemon, or inline logs fetched
-// from elsewhere).
-func (c *Client) Compare(ctx context.Context, req CompareRequest) (*CompareResult, error) {
-	var res CompareResult
-	if err := c.Do(ctx, http.MethodPost, "/api/v1/compare", req, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
 }
 
 // Health fetches the daemon's /healthz liveness summary.

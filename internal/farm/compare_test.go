@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"bufio"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -9,6 +11,20 @@ import (
 
 	"instantcheck/internal/ihash"
 )
+
+// WriteHashLog writes lines in the canonical text form ParseHashLog reads,
+// the tests' writer for hand-built logs.
+func WriteHashLog(w io.Writer, lines []HashLogLine) error {
+	bw := bufio.NewWriter(w)
+	var b []byte
+	for _, l := range lines {
+		b = appendHashLogFields(b[:0], l.Run, CheckpointRecord{Ordinal: l.Ordinal, Label: l.Label, SH: l.SH})
+		if _, err := bw.Write(append(b, '\n')); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
 
 // mkLog builds a hash log of runs 0..runs-1 with cps checkpoints each,
 // hashes derived from (run, ordinal) so any two logs built alike agree.

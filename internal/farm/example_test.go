@@ -46,17 +46,24 @@ func ExampleServer() {
 	}
 
 	// A job's hash log is the unit of cross-host comparison: fetch it as
-	// text, as another host would, and compare it with the job it came
-	// from, then compare the two jobs.
+	// text, as another host would, and diff it with the job it came from,
+	// then diff the two jobs.
 	hashLog, err := c.HashLog(ctx, ids[0])
 	check(err)
 	fmt.Printf("hash log of %s: %d lines, first %s\n",
 		ids[0], strings.Count(hashLog, "\n"), strings.SplitN(hashLog, "\n", 2)[0])
-	same, err := c.Compare(ctx, farm.CompareRequest{LogA: hashLog, JobB: ids[0]})
+	fetch := func(id farm.JobID) []farm.HashLogLine {
+		text, err := c.HashLog(ctx, id)
+		check(err)
+		lines, err := farm.ParseHashLog(strings.NewReader(text))
+		check(err)
+		return lines
+	}
+	saved, err := farm.ParseHashLog(strings.NewReader(hashLog))
 	check(err)
+	same := farm.CompareHashLogs(saved, fetch(ids[0]))
 	fmt.Printf("fetched log vs %s: equal %v over %d runs\n", ids[0], same.Equal, same.RunsCompared)
-	diff, err := c.Compare(ctx, farm.CompareRequest{JobA: ids[0], JobB: ids[1]})
-	check(err)
+	diff := farm.CompareHashLogs(fetch(ids[0]), fetch(ids[1]))
 	fmt.Printf("%s vs %s: equal %v, first divergence at run %d checkpoint %d\n",
 		ids[0], ids[1], diff.Equal, diff.First.Run+1, diff.First.Ordinal)
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"instantcheck/internal/core"
 	"instantcheck/internal/explore"
 	"instantcheck/internal/obs"
 	"instantcheck/internal/racefilter"
@@ -329,6 +330,8 @@ func TestExploreSpecValidation(t *testing.T) {
 		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: -1},
 		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: explore.MaxPCTDepth + 1},
 		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: 1 << 60},
+		{App: "fft", SwitchInterval: core.MaxSwitchInterval + 1},
+		{App: "waterSP", Kind: "explore", SwitchInterval: 1 << 62},
 	}
 	for _, spec := range bad {
 		if _, _, err := spec.Resolve(); err == nil {
@@ -342,12 +345,56 @@ func TestExploreSpecValidation(t *testing.T) {
 		{App: "waterSP", Bug: "atomicity"}, // seeded bug on a check job
 		{App: "fft", Threads: racefilter.MaxThreads, Runs: explore.DefaultMaxRuns},
 		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: explore.MaxPCTDepth},
+		{App: "waterSP", Kind: "explore", Strategy: "coverage", SwitchInterval: core.MaxSwitchInterval},
 	}
 	for _, spec := range good {
 		if _, _, err := spec.Resolve(); err != nil {
 			t.Errorf("spec %+v rejected: %v", spec, err)
 		}
 	}
+}
+
+// FuzzJobSpec decodes arbitrary bytes into a JobSpec as the submit
+// handler does and resolves it. Resolve must not panic; a spec it accepts
+// has every size within its bound; and the spec, encoded and decoded
+// again, resolves to the same error or the same campaign.
+func FuzzJobSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"app":"waterSP","kind":"explore","strategy":"pct","pct_depth":1152921504606846976}`,
+		`{"app":"waterSP","kind":"explore","strategy":"pct","pct_depth":-1}`,
+		`{"app":"fft","runs":1125899906842624}`,
+		`{"app":"fft","threads":1099511627776}`,
+		`{"app":"fft","switch_interval":4611686018427387904}`,
+		`{"app":"sphinx3","runs":30,"threads":8,"seed":5,"input_seed":3,"scheme":"swtr","hasher":"crc64","round_fp":true,"isolate":true}`,
+		`{"app":"radix","kind":"explore","strategy":"pct","pct_depth":3,"bug":"order","runs":40,"threads":4,"small":true,"switch_interval":20000}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		camp, _, err := spec.Resolve()
+		if err == nil && (camp.Runs < 1 || camp.Runs > explore.DefaultMaxRuns ||
+			camp.Threads < 1 || camp.Threads > racefilter.MaxThreads ||
+			spec.PCTDepth < 0 || spec.PCTDepth > explore.MaxPCTDepth ||
+			camp.SwitchInterval > core.MaxSwitchInterval) {
+			t.Fatalf("%s resolved out of range: %+v", body, camp)
+		}
+		wire, merr := json.Marshal(spec)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		var again JobSpec
+		if uerr := json.Unmarshal(wire, &again); uerr != nil {
+			t.Fatalf("%s: re-encoded as %s, which does not decode: %v", body, wire, uerr)
+		}
+		camp2, _, err2 := again.Resolve()
+		if fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(camp, camp2) {
+			t.Fatalf("%s resolved to %+v, %v; re-encoded as %s, to %+v, %v", body, camp, err, wire, camp2, err2)
+		}
+	})
 }
 
 // TestCheckSpecWireUnchanged pins the check-job wire format: the new

@@ -18,9 +18,10 @@
 //     partially-complete campaigns where they stopped, and hash logs from
 //     two hosts can be diffed — §6.3's hash-assisted replay log made
 //     durable;
-//   - an HTTP JSON API (submit / status / report / hash-log stream /
-//     compare) serves the whole thing; cmd/checkd is the daemon and the
-//     Client type plus `instantcheck remote` are the callers.
+//   - an HTTP JSON API (submit / status / report / hash-log stream)
+//     serves the whole thing; cmd/checkd is the daemon and the Client
+//     type plus `instantcheck remote` are the callers, which diff two
+//     fetched hash logs themselves (ParseHashLog, CompareHashLogs).
 package farm
 
 import (
@@ -248,25 +249,10 @@ type HashLogLine struct {
 	SH      ihash.Digest `json:"sh"`
 }
 
-// WriteHashLog writes lines in the canonical text form
-//
-//	<run> <ordinal> <sh-hex> <quoted-label>
-//
-// which ParseHashLog reads back; the format is the interchange unit for
-// cross-host comparison.
-func WriteHashLog(w io.Writer, lines []HashLogLine) error {
-	bw := bufio.NewWriter(w)
-	var b []byte
-	for _, l := range lines {
-		b = appendHashLogFields(b[:0], l.Run, CheckpointRecord{Ordinal: l.Ordinal, Label: l.Label, SH: l.SH})
-		if _, err := bw.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ParseHashLog reads the canonical text form back into lines.
+// ParseHashLog reads a hash log in its canonical text form, one
+// "<run> <ordinal> <sh-hex> <quoted-label>" line per checkpoint, as
+// JobLog.WriteHashLog writes it: the interchange unit for cross-host
+// comparison.
 func ParseHashLog(r io.Reader) ([]HashLogLine, error) {
 	var out []HashLogLine
 	sc := bufio.NewScanner(r)

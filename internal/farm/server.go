@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -460,23 +459,9 @@ func (s *Server) Health() Health {
 
 // ---- HTTP API ----
 
-// CompareRequest selects the two hash logs to diff: each side is either a
-// job on this daemon or an inline log in the canonical text form (the
-// hashlog endpoint's output, possibly from another host).
-type CompareRequest struct {
-	JobA JobID  `json:"job_a,omitempty"`
-	LogA string `json:"log_a,omitempty"`
-	JobB JobID  `json:"job_b,omitempty"`
-	LogB string `json:"log_b,omitempty"`
-}
-
-// Request body bounds, each at least 8× the largest body measured: a
-// JobSpec is under 1 KB, and a compare side may carry a saved hash log (a
-// 30-run full-input streamcluster log is 13,970,970 bytes of text).
-const (
-	maxSpecBody    = 64 << 10
-	maxCompareBody = 128 << 20
-)
+// maxSpecBody bounds a submitted JobSpec's body, at least 8× the largest
+// measured: a JobSpec is under 1 KB.
+const maxSpecBody = 64 << 10
 
 // errLengthRequired is DecodeBody's error for a body sent without a
 // Content-Length.
@@ -523,7 +508,6 @@ func BodyStatus(err error) int {
 //	DELETE /api/v1/jobs/{id}      cancel
 //	GET    /api/v1/jobs/{id}/report    finished job's report
 //	GET    /api/v1/jobs/{id}/hashlog   per-checkpoint hash stream (text)
-//	POST   /api/v1/compare        diff two hash logs (CompareRequest)
 //	GET    /healthz               liveness + queue summary (JSON)
 //	GET    /metrics               Prometheus text exposition
 func (s *Server) Handler() http.Handler {
@@ -604,51 +588,7 @@ func (s *Server) Handler() http.Handler {
 			s.opts.Logf("farm: job %s: hash log: %v", id, err)
 		}
 	})
-	mux.HandleFunc("POST /api/v1/compare", func(w http.ResponseWriter, r *http.Request) {
-		var req CompareRequest
-		if _, err := DecodeBody(r, maxCompareBody, &req); err != nil {
-			HTTPError(w, BodyStatus(err), fmt.Errorf("bad compare request: %w", err))
-			return
-		}
-		a, err := s.compareSide(req.JobA, req.LogA, "a")
-		if err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
-			return
-		}
-		b, err := s.compareSide(req.JobB, req.LogB, "b")
-		if err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, CompareHashLogs(a, b))
-	})
 	return mux
-}
-
-// compareSide materializes one side of a compare request.
-func (s *Server) compareSide(job JobID, log, side string) ([]HashLogLine, error) {
-	switch {
-	case job != "" && log != "":
-		return nil, fmt.Errorf("compare side %s: give job_%s or log_%s, not both", side, side, side)
-	case job != "":
-		jl := s.store.Job(job)
-		if jl == nil {
-			return nil, fmt.Errorf("compare side %s: no job %s", side, job)
-		}
-		lines, err := jl.HashLog()
-		if err != nil {
-			return nil, fmt.Errorf("compare side %s: %w", side, err)
-		}
-		return lines, nil
-	case log != "":
-		lines, err := ParseHashLog(strings.NewReader(log))
-		if err != nil {
-			return nil, fmt.Errorf("compare side %s: %w", side, err)
-		}
-		return lines, nil
-	default:
-		return nil, fmt.Errorf("compare side %s: empty", side)
-	}
 }
 
 // WriteJSON answers with v as indented JSON under the given status code.

@@ -51,7 +51,8 @@ func waitDone(t *testing.T, c *Client, id JobID) *Job {
 }
 
 // TestServerEndToEnd drives the whole service through its HTTP API:
-// submit, status, report, hash-log streaming, cross-host compare, cancel.
+// submit, status, report, hash-log streaming, and a compare of two
+// fetched logs, which the daemon leaves to its client.
 func TestServerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	_, c := startTestDaemon(t, filepath.Join(dir, "farm.log"), Options{RunWorkers: 4})
@@ -101,34 +102,37 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("hash log has %d lines, want %d runs x %d checkpoints", len(lines), spec.Runs, rep.Points)
 	}
 
-	// Cross-host compare: the fetched text log against the job it came
-	// from (the two-host flow with both ends on one daemon).
-	cmp, err := c.Compare(bg, CompareRequest{LogA: logText, JobB: job.ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cmp.Equal || cmp.RunsCompared != spec.Runs {
-		t.Errorf("self compare = %+v", cmp)
-	}
-
-	// A different workload's log diverges.
+	// A different workload's fetched log diverges from it.
 	spec2 := smokeSpec("barnes", "mix64")
 	job2, err := c.Submit(bg, spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, c, job2.ID)
-	cmp, err = c.Compare(bg, CompareRequest{JobA: job.ID, JobB: job2.ID})
+	logText2, err := c.HashLog(bg, job2.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Equal || cmp.First == nil {
+	lines2, err := ParseHashLog(strings.NewReader(logText2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp := CompareHashLogs(lines, lines2); cmp.Equal || cmp.First == nil {
 		t.Errorf("fft-vs-barnes compare = %+v", cmp)
 	}
 
-	// Error surface: unknown job is 404, bad spec is rejected.
+	// Error surface: unknown job is 404, bad spec is rejected, and the
+	// daemon serves no compare endpoint.
 	if _, err := c.Report(bg, "j999999"); err == nil {
 		t.Error("report for unknown job succeeded")
+	}
+	resp, err := http.Post(c.BaseURL+"/api/v1/compare", "application/json", strings.NewReader(`{"job_a":"j000001","job_b":"j000002"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /api/v1/compare: %s, want 404", resp.Status)
 	}
 	if _, err := c.Submit(bg, JobSpec{App: "no-such-app"}); err == nil {
 		t.Error("bad spec accepted")
@@ -364,14 +368,6 @@ func (b *countingBody) Read(p []byte) (int, error) {
 // read; the daemon then serves a normal request on the same endpoint.
 func TestRequestBodyBounds(t *testing.T) {
 	srv, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 1})
-	var log strings.Builder
-	if err := WriteHashLog(&log, mkLog(2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	compare, err := json.Marshal(CompareRequest{LogA: log.String(), LogB: log.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		path   string
 		limit  int64
@@ -379,7 +375,6 @@ func TestRequestBodyBounds(t *testing.T) {
 		status int
 	}{
 		{"/api/v1/jobs", maxSpecBody, `{"app":"fft","runs":2,"threads":2,"small":true}`, http.StatusAccepted},
-		{"/api/v1/compare", maxCompareBody, string(compare), http.StatusOK},
 	} {
 		if got := postOverBound(t, c.BaseURL+tc.path, tc.limit); got != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: a body one byte over the bound got %d, want 413", tc.path, got)
@@ -404,31 +399,15 @@ func TestRequestBodyBounds(t *testing.T) {
 }
 
 // TestCompareRejectsNegativeIndex: a hash log line with a negative run or
-// ordinal fails to parse with an error naming the line, and the compare
-// endpoint answers 400 with it. A log whose one line was run -5 used to
-// compare equal to an empty log.
+// ordinal fails to parse with an error naming the line. A log whose one
+// line was run -5 used to compare equal to an empty log.
 func TestCompareRejectsNegativeIndex(t *testing.T) {
-	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 1})
 	for _, log := range []string{
 		"0 0 0000000000000001 \"b\"\n-5 0 0000000000000001 \"end\"\n",
 		"0 0 0000000000000001 \"b\"\n0 -1 0000000000000001 \"end\"\n",
 	} {
 		if _, err := ParseHashLog(strings.NewReader(log)); err == nil || !strings.Contains(err.Error(), "line 2") {
 			t.Errorf("%q parsed with error %v, want one naming line 2", log, err)
-		}
-		body, err := json.Marshal(CompareRequest{LogA: log, LogB: "0 0 0000000000000001 \"end\"\n"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(c.BaseURL+"/api/v1/compare", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e struct{ Error string }
-		err = json.NewDecoder(resp.Body).Decode(&e)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "line 2") {
-			t.Errorf("compare of %q: %s %q (%v), want 400 naming line 2", log, resp.Status, e.Error, err)
 		}
 	}
 }
@@ -459,9 +438,16 @@ func TestHashLogStream(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) || len(body) == 0 {
 		t.Errorf("hashlog: %s, Content-Length %d, %d body bytes", resp.Status, resp.ContentLength, len(body))
 	}
-	want, err := srv.store.Job(job.ID).HashLog()
-	if err != nil {
-		t.Fatal(err)
+	jl := srv.store.Job(job.ID)
+	var want []HashLogLine
+	for _, run := range jl.CompletedRuns() {
+		rec, err := jl.Run(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cp := range rec.Checkpoints {
+			want = append(want, HashLogLine{Run: run, Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
+		}
 	}
 	var wantText strings.Builder
 	if err := WriteHashLog(&wantText, want); err != nil {
@@ -621,6 +607,7 @@ func TestResumeOutOfRangeJobFails(t *testing.T) {
 		{App: "waterSP", Kind: "explore", Strategy: "pct", PCTDepth: 1 << 60},
 		{App: "fft", Runs: 1 << 50},
 		{App: "fft", Threads: 1 << 40},
+		{App: "fft", SwitchInterval: 1 << 62},
 	} {
 		id := st.NextID()
 		if err := st.BeginJob(id, spec); err != nil {

@@ -43,8 +43,8 @@ import (
 // of its checkpoints in the hash-log text form. A run's record is read
 // back from its range, through the loader's own line parser, only when it
 // is needed: to resume a job, to compare a duplicate append, and to serve
-// or compare a hash log. A daemon's memory therefore does not grow with
-// the runs it has committed.
+// a hash log. A daemon's memory therefore does not grow with the runs it
+// has committed.
 
 const storeHeader = "checkfarm-log v1"
 
@@ -216,22 +216,6 @@ func (jl *JobLog) WriteHashLog(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// HashLog reads the job's hash log into lines, ordered by run then
-// checkpoint.
-func (jl *JobLog) HashLog() ([]HashLogLine, error) {
-	var out []HashLogLine
-	for _, run := range jl.CompletedRuns() {
-		rec, err := jl.Run(run)
-		if err != nil {
-			return nil, err
-		}
-		for _, cp := range rec.Checkpoints {
-			out = append(out, HashLogLine{Run: run, Ordinal: cp.Ordinal, Label: cp.Label, SH: cp.SH})
-		}
-	}
-	return out, nil
 }
 
 // Store is the append-only hash-log store plus its in-memory index. All

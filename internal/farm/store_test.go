@@ -176,8 +176,6 @@ func TestReadBackAfterTruncation(t *testing.T) {
 	}
 	_, err = jl.Run(last)
 	names("Run", err, last)
-	_, err = jl.HashLog()
-	names("HashLog", err, last)
 	names("WriteHashLog", jl.WriteHashLog(io.Discard), last)
 	_, err = reportFromLog(jl)
 	names("reportFromLog", err, last)
@@ -378,9 +376,10 @@ func TestHashLogRoundTrip(t *testing.T) {
 }
 
 // TestRecordLinesMatchFormat checks the store's run lines, its jobend line
-// and WriteHashLog's lines byte for byte against the fmt format strings
-// that defined them, over labels that need quoting (quotes, backslashes,
-// control bytes, non-ASCII and invalid UTF-8) and the extreme hash values.
+// and the hash log JobLog.WriteHashLog serves byte for byte against the
+// fmt format strings that defined them, over labels that need quoting
+// (quotes, backslashes, control bytes, non-ASCII and invalid UTF-8) and
+// the extreme hash values.
 func TestRecordLinesMatchFormat(t *testing.T) {
 	labels := []string{"end", "", `odd "label" with spaces`, `back\slash`, "tab\tnl\nbell\a nul\x00", "naïve 日本 🎉", "\xff\xfe bad utf-8"}
 	hashes := []uint64{0, math.MaxUint64, 0xdeadbeef, 1 << 63}
@@ -404,6 +403,7 @@ func TestRecordLinesMatchFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []string
+	var wantLog strings.Builder
 	for _, run := range []int{0, 12345} {
 		r := res(run % 7)
 		if err := s.AppendRun(id, run, r); err != nil {
@@ -413,11 +413,23 @@ func TestRecordLinesMatchFormat(t *testing.T) {
 		want = append(want, fmt.Sprintf("runstart %s %d", id, run))
 		for _, cp := range rec.Checkpoints {
 			want = append(want, fmt.Sprintf("cp %s %d %d %016x %q", id, run, cp.Ordinal, uint64(cp.SH), cp.Label))
+			fmt.Fprintf(&wantLog, "%d %d %016x %q\n", run, cp.Ordinal, uint64(cp.SH), cp.Label)
 		}
 		for _, o := range rec.Outputs {
 			want = append(want, fmt.Sprintf("out %s %d %d %016x %d", id, run, o.FD, o.Hash, o.Bytes))
 		}
 		want = append(want, fmt.Sprintf("runend %s %d %d", id, run, len(rec.Checkpoints)))
+	}
+	var gotLog strings.Builder
+	jl := s.Job(id)
+	if err := jl.WriteHashLog(&gotLog); err != nil {
+		t.Fatal(err)
+	}
+	if gotLog.String() != wantLog.String() {
+		t.Errorf("hash log:\n got %q\nwant %q", gotLog.String(), wantLog.String())
+	}
+	if size, err := jl.HashLogSize(); err != nil || size != int64(gotLog.Len()) {
+		t.Errorf("HashLogSize = %d, %v; the log is %d bytes", size, err, gotLog.Len())
 	}
 	const msg = "bad \"spec\"\n\\ é"
 	if err := s.EndJob(id, "failed", msg); err != nil {
@@ -436,20 +448,6 @@ func TestRecordLinesMatchFormat(t *testing.T) {
 		t.Errorf("store lines:\n got %q\nwant %q", got, want)
 	}
 
-	var lines []HashLogLine
-	var wantLog strings.Builder
-	for i, l := range labels {
-		hl := HashLogLine{Run: i * 1000, Ordinal: i, Label: l, SH: ihash.Digest(hashes[i%len(hashes)])}
-		lines = append(lines, hl)
-		fmt.Fprintf(&wantLog, "%d %d %016x %q\n", hl.Run, hl.Ordinal, uint64(hl.SH), hl.Label)
-	}
-	var gotLog strings.Builder
-	if err := WriteHashLog(&gotLog, lines); err != nil {
-		t.Fatal(err)
-	}
-	if gotLog.String() != wantLog.String() {
-		t.Errorf("hash log:\n got %q\nwant %q", gotLog.String(), wantLog.String())
-	}
 }
 
 // TestCompareHashLogs checks equality, first-divergence location and the
